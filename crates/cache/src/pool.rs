@@ -403,6 +403,7 @@ impl BufferPool {
             }
             other => panic!("record_use on non-ready buffer: {other:?}"),
         }
+        self.debug_check();
     }
 
     /// Reserve a buffer in `proc`'s RU set for a demand fetch of `block`,
@@ -476,6 +477,7 @@ impl BufferPool {
         match victim {
             Some(victim) => {
                 self.evict(victim);
+                self.debug_check();
                 Ok(victim)
             }
             None => {
@@ -517,6 +519,7 @@ impl BufferPool {
             }
             other => panic!("complete_io on non-pending buffer: {other:?}"),
         }
+        self.debug_check();
     }
 
     /// Abandon an in-flight fill: the I/O for this buffer failed and will
@@ -611,9 +614,24 @@ impl BufferPool {
         dropped
     }
 
-    /// Snapshot the prefetch partition's fullness. A scan over the pool —
-    /// called only when the admission layer is enabled, never on the
-    /// default paths.
+    /// [`PoolPressure::occupancy`] without the scan. The prefetch
+    /// partition holds only prefetch fills, so its pending plus
+    /// unused-ready buffers are exactly the `prefetched_unused` count
+    /// (checked by [`BufferPool::assert_invariants`]); the division is the
+    /// same, so the result is bit-identical.
+    #[inline]
+    pub fn prefetch_occupancy(&self) -> f64 {
+        let total = self.config.procs as u32 * self.config.prefetch_per_proc as u32;
+        if total == 0 {
+            0.0
+        } else {
+            self.prefetched_unused as f64 / total as f64
+        }
+    }
+
+    /// Snapshot the prefetch partition's fullness: a scan over the pool,
+    /// for the observability sampler and tests. The admission gate reads
+    /// [`BufferPool::prefetch_occupancy`] instead.
     pub fn pressure(&self) -> PoolPressure {
         let mut p = PoolPressure {
             free: 0,
@@ -679,6 +697,14 @@ impl BufferPool {
             self.prefetched_unused <= self.config.global_prefetch_cap
                 || self.config.global_prefetch_cap == 0,
             "global prefetch cap exceeded"
+        );
+        // 3b. ...and equals the prefetch partition's committed buffers, so
+        //     the O(1) occupancy the admission gate reads is the scan's.
+        let pressure = self.pressure();
+        assert_eq!(
+            self.prefetched_unused,
+            pressure.pending + pressure.unused_ready,
+            "prefetch partition holds a fill of another kind"
         );
         // 4. Pins only on ready buffers.
         for b in &self.buffers {
@@ -1044,6 +1070,72 @@ mod tests {
         assert_eq!(p.pressure().pinned, 1);
         p.unpin(buf);
         p.assert_invariants();
+    }
+
+    #[test]
+    fn constant_time_occupancy_tracks_the_pressure_scan() {
+        // 1 node × 3 prefetch buffers with the unused-prefetch relaxation,
+        // so every path that moves the counter is reachable.
+        let mut p = BufferPool::new(PoolConfig {
+            procs: 1,
+            demand_per_proc: 1,
+            prefetch_per_proc: 3,
+            global_prefetch_cap: 8,
+            replacement: Replacement::RuSet,
+            evict_unused_prefetch: true,
+        });
+        let check = |p: &BufferPool, unused: u32| {
+            p.assert_invariants();
+            assert_eq!(p.prefetched_unused(), unused);
+            assert_eq!(
+                p.prefetch_occupancy().to_bits(),
+                p.pressure().occupancy().to_bits()
+            );
+        };
+        check(&p, 0);
+        // Reserve, commit, complete: pending, then ready but unused.
+        let mut bufs = Vec::new();
+        for i in 0..3u32 {
+            let buf = p.try_reserve_prefetch(ProcId(0), BlockId(i)).unwrap();
+            check(&p, i);
+            p.commit_prefetch(buf, BlockId(i), t(30));
+            check(&p, i + 1);
+            bufs.push(buf);
+        }
+        p.complete_io(bufs[0], t(30));
+        check(&p, 3);
+        // Use releases one; a demand fill never counts.
+        p.record_use(bufs[0], ProcId(0), t(40));
+        check(&p, 2);
+        p.complete_io(bufs[1], t(45));
+        check(&p, 2);
+        let d = p.alloc_demand(ProcId(0), BlockId(9), t(50)).unwrap();
+        p.complete_io(d, t(50));
+        check(&p, 2);
+        // Discarding the pending prefetch releases it.
+        p.discard_pending(bufs[2]);
+        check(&p, 1);
+        // Refill the freed buffer, then push out the used one: the
+        // partition is now full of unused prefetches.
+        for b in [10u32, 11] {
+            let buf = p.try_reserve_prefetch(ProcId(0), BlockId(b)).unwrap();
+            p.commit_prefetch(buf, BlockId(b), t(60));
+            p.complete_io(buf, t(60));
+        }
+        check(&p, 3);
+        assert!((p.prefetch_occupancy() - 1.0).abs() < 1e-12);
+        // Unused-prefetch eviction: the next reservation drops one.
+        let before = p.unused_evictions();
+        let buf = p.try_reserve_prefetch(ProcId(0), BlockId(12)).unwrap();
+        assert_eq!(p.unused_evictions(), before + 1);
+        assert_eq!(p.stats().wasted_prefetches, 1);
+        check(&p, 2);
+        p.commit_prefetch(buf, BlockId(12), t(70));
+        check(&p, 3);
+        // No prefetch partition at all reads as empty, like the scan.
+        let none = BufferPool::new(PoolConfig::paper_no_prefetch(2));
+        assert_eq!(none.prefetch_occupancy(), 0.0);
+        assert_eq!(none.pressure().occupancy(), 0.0);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub fn run_experiment_observed(
         cfg.label()
     );
     assert!(world.complete(), "simulation drained without finishing");
-    let metrics = collect_metrics(&world, outcome.end_time);
+    let metrics = collect_metrics(&mut world, outcome.end_time);
     let data = world.take_obs().expect("observation was enabled");
     (metrics, data)
 }
@@ -123,13 +123,25 @@ fn run_shared_world(
     );
     assert!(world.complete(), "simulation drained without finishing");
 
-    let metrics = collect_metrics(&world, outcome.end_time);
+    let metrics = collect_metrics(&mut world, outcome.end_time);
     let trace = world.take_trace();
     (metrics, trace, perf)
 }
 
-/// Assemble the run's [`RunMetrics`] from a completed world.
-fn collect_metrics(world: &World, end_time: rt_sim::SimTime) -> RunMetrics {
+/// Assemble the run's [`RunMetrics`] from a completed world. The sample
+/// reservoirs and timelines are moved out rather than copied: every caller
+/// drops the world right after.
+fn collect_metrics(world: &mut World, end_time: rt_sim::SimTime) -> RunMetrics {
+    use std::mem::take;
+    let rec = &mut world.rec;
+    let read_times = take(&mut rec.read_times);
+    let disk_response_times = take(&mut rec.disk_responses);
+    let hit_wait = take(&mut rec.hit_wait);
+    let hedged_read_times = take(&mut rec.hedged_read_times);
+    let tl_prefetched = take(&mut rec.tl_prefetched);
+    let tl_barrier = take(&mut rec.tl_barrier);
+    let tl_outstanding_io = take(&mut rec.tl_outstanding_io);
+    let world = &*world;
     let cfg = world.cfg();
     let pool_stats = world.pool().stats().clone();
     let disks = world.disks();
@@ -145,13 +157,13 @@ fn collect_metrics(world: &World, end_time: rt_sim::SimTime) -> RunMetrics {
         total_time,
         proc_finish: finish.clone(),
         reads: world.rec.reads.clone(),
-        read_times: world.rec.read_times.clone(),
-        disk_response_times: world.rec.disk_responses.clone(),
+        read_times,
+        disk_response_times,
         hit_ratio: pool_stats.hit_ratio.value(),
         ready_hits: pool_stats.ready_hits,
         unready_hits: pool_stats.unready_hits,
         misses: pool_stats.misses,
-        hit_wait: world.rec.hit_wait.clone(),
+        hit_wait,
         disk_response: disks.response(),
         disk_ops: disks.total_ops(),
         disk_utilization: disks.mean_utilization(end_time),
@@ -174,15 +186,15 @@ fn collect_metrics(world: &World, end_time: rt_sim::SimTime) -> RunMetrics {
                 finish: finish[p],
             })
             .collect(),
-        tl_prefetched: world.rec.tl_prefetched.clone(),
-        tl_barrier: world.rec.tl_barrier.clone(),
-        tl_outstanding_io: world.rec.tl_outstanding_io.clone(),
+        tl_prefetched,
+        tl_barrier,
+        tl_outstanding_io,
         faults: world.fault_metrics(end_time),
         overload: world.overload_metrics(),
         integrity: world.integrity_metrics(end_time),
         crash: world.crash_metrics(),
         tail: world.tail_metrics(),
-        hedged_read_times: world.rec.hedged_read_times.clone(),
+        hedged_read_times,
     }
 }
 
@@ -269,7 +281,7 @@ impl RunHandle {
             self.world.complete(),
             "simulation drained without finishing"
         );
-        collect_metrics(&self.world, out.end_time)
+        collect_metrics(&mut self.world, out.end_time)
     }
 }
 

@@ -61,6 +61,30 @@ pub struct ScanHint {
     epoch: u64,
 }
 
+impl ScanHint {
+    /// Where a scan from `start` may resume: the end of the verified span
+    /// while the memo covers `start` and the pool's eviction epoch is
+    /// unchanged, `None` when it is stale.
+    #[inline]
+    fn resume(&self, start: usize, pool: &BufferPool) -> Option<usize> {
+        let valid =
+            self.epoch == pool.unused_evictions() && (self.base..=self.pos).contains(&start);
+        valid.then_some(self.pos)
+    }
+}
+
+/// In debug builds, check that a scan resuming at `from` skipped only
+/// cached entries.
+#[inline]
+fn debug_check_skip(view: &OracleView<'_>, pool: &BufferPool, start: usize, from: usize) {
+    debug_assert!(
+        view.string.accesses()[start..from]
+            .iter()
+            .all(|a| pool.contains(a.block)),
+        "scan hint skipped an uncached entry"
+    );
+}
+
 /// [`select_oracle`] with a scan memo: identical selections, but repeat
 /// scans over a still-cached prefix are skipped. This is the hot path for
 /// the sequential global patterns, where each prefetch action would
@@ -71,21 +95,13 @@ pub fn select_oracle_hinted(
     hint: &mut ScanHint,
 ) -> Option<BlockId> {
     let start = scan_start(view)?;
-    let epoch = pool.unused_evictions();
-    let from = if hint.epoch == epoch && start >= hint.base && start <= hint.pos {
-        hint.pos
-    } else {
+    let from = hint.resume(start, pool).unwrap_or_else(|| {
         // Stale epoch or a start outside the verified span: rebuild.
         hint.base = start;
-        hint.epoch = epoch;
+        hint.epoch = pool.unused_evictions();
         start
-    };
-    debug_assert!(
-        view.string.accesses()[start..from]
-            .iter()
-            .all(|a| pool.contains(a.block)),
-        "scan hint skipped an uncached entry"
-    );
+    });
+    debug_check_skip(view, pool, start, from);
     let (pos, selected) = match scan(view, pool, from, established(view)) {
         ScanStop::Uncached(i, block) => (i, Some(block)),
         ScanStop::Fence(i) => (i, None),
@@ -159,7 +175,32 @@ pub fn select_oracle_avoiding(
     pool: &BufferPool,
     avoid: impl Fn(BlockId) -> bool,
 ) -> Option<BlockId> {
+    scan_avoiding(view, pool, scan_start(view)?, avoid)
+}
+
+/// [`select_oracle_avoiding`] resuming from a scan memo's verified-cached
+/// span, under the same soundness conditions as [`select_oracle_hinted`].
+/// The memo is only read: the daemon calls this right after a hinted
+/// selection found a candidate it must pass over, so the span already
+/// ends at that candidate.
+pub fn select_oracle_avoiding_hinted(
+    view: &OracleView<'_>,
+    pool: &BufferPool,
+    hint: &ScanHint,
+    avoid: impl Fn(BlockId) -> bool,
+) -> Option<BlockId> {
     let start = scan_start(view)?;
+    let from = hint.resume(start, pool).unwrap_or(start);
+    debug_check_skip(view, pool, start, from);
+    scan_avoiding(view, pool, from, avoid)
+}
+
+fn scan_avoiding(
+    view: &OracleView<'_>,
+    pool: &BufferPool,
+    start: usize,
+    avoid: impl Fn(BlockId) -> bool,
+) -> Option<BlockId> {
     let established = established(view);
     for access in &view.string.accesses()[start..] {
         if !view.cross_portions && access.portion > established {
@@ -409,6 +450,74 @@ mod tests {
         );
         // Everything avoided: no candidate.
         assert_eq!(select_oracle_avoiding(&view, &pool, |_| true), None);
+    }
+
+    #[test]
+    fn hinted_avoiding_oracle_matches_plain_avoiding_scan() {
+        // Duplicate-free strings, one of them fenced into portions. The
+        // partition may evict unused prefetches, so cached-ahead blocks
+        // vanish and bump the memo's epoch; every fifth block sits on an
+        // avoided device. The memo-aware avoiding scan must agree with the
+        // plain one at every step, both right after a hinted selection (as
+        // the daemon calls them) and with a memo gone stale.
+        let avoid = |b: BlockId| b.0 % 5 == 2;
+        let strings = [
+            (whole_file(64), true),
+            (
+                RefString::from_portions(&[(0, 20), (100, 20), (200, 24)]),
+                false,
+            ),
+        ];
+        for (s, cross_portions) in &strings {
+            let mut pool = BufferPool::new(PoolConfig {
+                procs: 1,
+                demand_per_proc: 1,
+                prefetch_per_proc: 6,
+                global_prefetch_cap: 64,
+                replacement: rt_cache::Replacement::RuSet,
+                evict_unused_prefetch: true,
+            });
+            let mut hint = ScanHint::default();
+            let mut frontier = 0usize;
+            let mut passed_over = 0;
+            for step in 0..300u64 {
+                let view = OracleView {
+                    string: s,
+                    frontier,
+                    cross_portions: *cross_portions,
+                    min_lead: 0,
+                };
+                let plain = select_oracle_avoiding(&view, &pool, avoid);
+                // First with the memo as the last step left it: the
+                // frontier may have moved and an eviction may have made
+                // it stale.
+                let hinted = select_oracle_avoiding_hinted(&view, &pool, &hint, avoid);
+                assert_eq!(plain, hinted, "stale memo diverged at step {step}");
+                let first = select_oracle_hinted(&view, &pool, &mut hint);
+                assert_eq!(first, select_oracle(&view, &pool), "step {step}");
+                let hinted = select_oracle_avoiding_hinted(&view, &pool, &hint, avoid);
+                assert_eq!(plain, hinted, "avoiding selectors diverged at step {step}");
+                if first != plain {
+                    passed_over += 1;
+                }
+                if let Some(block) = hinted.or(first) {
+                    if let Ok(buf) = pool.try_reserve_prefetch(ProcId(0), block) {
+                        pool.commit_prefetch(buf, block, SimTime::from_nanos(step));
+                        pool.complete_io(buf, SimTime::from_nanos(step));
+                    }
+                }
+                if step % 3 == 0 && frontier < s.len() {
+                    // The demand stream consumes the frontier block.
+                    let demanded = s.accesses()[frontier].block;
+                    if let Some(buf) = pool.buffer_for(demanded) {
+                        pool.record_use(buf, ProcId(0), SimTime::from_nanos(step));
+                    }
+                    frontier += 1;
+                }
+            }
+            assert!(pool.unused_evictions() > 0, "no epoch bump exercised");
+            assert!(passed_over > 0, "the avoid predicate never mattered");
+        }
     }
 
     #[test]

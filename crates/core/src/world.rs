@@ -14,7 +14,8 @@
 //! the cache's internal data structures emerges the way it did on the
 //! Butterfly's remote shared memory.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rt_cache::{BufState, BufferId, BufferPool, Lookup, PoolConfig};
@@ -32,8 +33,8 @@ use crate::faults::RetryPolicy;
 use crate::health::HealthTracker;
 use crate::metrics::{CrashMetrics, FaultMetrics, OverloadMetrics};
 use crate::policy::{
-    select_oracle, select_oracle_avoiding, select_oracle_hinted, select_predicted, OracleView,
-    ScanHint,
+    select_oracle, select_oracle_avoiding, select_oracle_avoiding_hinted, select_oracle_hinted,
+    select_predicted, OracleView, ScanHint,
 };
 use crate::trace::{ReadOutcome, Trace, TraceEvent};
 use rt_obs::{Component, EventKind as ObsKind, ReadAttribution, Track};
@@ -289,6 +290,36 @@ pub(crate) struct Recorder {
     pub corrupt_delivered: u64,
 }
 
+/// Hasher for the layer maps' [`BlockId`] keys: one rotate-xor-multiply
+/// per word instead of SipHash. Block numbers come from the simulator, not
+/// an adversary, so flood resistance buys nothing; the odd multiplier keeps
+/// consecutive blocks in distinct buckets.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// A map keyed by block, hashed with [`BlockHasher`].
+pub(crate) type BlockMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockHasher>>;
+/// A set of blocks, hashed with [`BlockHasher`].
+pub(crate) type BlockSet = HashSet<BlockId, BuildHasherDefault<BlockHasher>>;
+
 /// In-flight fault bookkeeping for one block's demand fetch.
 #[derive(Clone)]
 pub(crate) struct PendingIo {
@@ -367,7 +398,7 @@ pub(crate) struct FaultState {
     pub health: HealthTracker,
     pub retry: RetryPolicy,
     /// Per-block retry/timeout state for fetches the fault layer touched.
-    pub pending: HashMap<BlockId, PendingIo>,
+    pub pending: BlockMap<PendingIo>,
     /// Retry-budget token bucket: fractional tokens, refilled per
     /// successful completion, spent (one whole token) per timeout-retry
     /// or hedge. Unlimited when no budget is configured.
@@ -436,11 +467,11 @@ pub(crate) struct IntegrityState {
     pub verify: bool,
     /// Blocks with no clean copy anywhere: every replica returned a
     /// corrupt payload. Reads fail fast with a typed error.
-    pub poisoned: std::collections::HashSet<BlockId>,
+    pub poisoned: BlockSet,
     /// In-flight fill verifications and read-repairs, by block.
-    pub verifying: HashMap<BlockId, VerifyState>,
+    pub verifying: BlockMap<VerifyState>,
     /// In-flight scrub repair chains, by block.
-    pub scrub_checks: HashMap<BlockId, ScrubCheck>,
+    pub scrub_checks: BlockMap<ScrubCheck>,
     /// Per-node scrub cursors.
     pub scrub: Vec<ScrubProc>,
     /// Typed error awaiting each node's current read, consumed at resume.
@@ -460,9 +491,9 @@ impl IntegrityState {
         IntegrityState {
             cfg: cfg.integrity,
             verify: cfg.integrity.verify || cfg.faults.plan.has_corruption(),
-            poisoned: std::collections::HashSet::new(),
-            verifying: HashMap::new(),
-            scrub_checks: HashMap::new(),
+            poisoned: BlockSet::default(),
+            verifying: BlockMap::default(),
+            scrub_checks: BlockMap::default(),
             scrub: (0..cfg.procs)
                 .map(|p| ScrubProc {
                     cursor: p as u32,
@@ -630,7 +661,7 @@ impl World {
                 .with_quarantine(cfg.integrity.quarantine)
                 .with_breaker(cfg.faults.breaker),
             retry: cfg.faults.retry,
-            pending: HashMap::new(),
+            pending: BlockMap::default(),
             budget_tokens: cfg.faults.budget.capacity.map_or(f64::INFINITY, f64::from),
         });
         let integrity = integrity_active.then(|| IntegrityState::new(&cfg));

@@ -166,7 +166,8 @@ impl World {
         // Re-charge bookkeeping that names the victim to a survivor: the
         // fault layer's retry initiators, verify/repair chains, and
         // parked demand fetches (dropped outright when no reader is left
-        // to want them).
+        // to want them). The map walks rewrite each entry on its own, so
+        // their order cannot matter.
         let me = ProcId(p as u16);
         let live = self.live_initiator(me);
         if let Some(f) = &mut self.faults {

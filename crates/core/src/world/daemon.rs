@@ -103,13 +103,13 @@ impl World {
                 .as_ref()
                 .is_none_or(|ig| !ig.poisoned.contains(b))
         });
-        match candidate {
-            Some(block) if self.admission_denies(block).is_some() => {
+        let deny = candidate.and_then(|block| self.admission_denies(block));
+        match (candidate, deny) {
+            (Some(block), Some(deny)) => {
                 // The admission controller refused the prefetch: out of
                 // credits, the target queue is past its high-water mark,
                 // or the prefetch partition is under pressure. Back off
                 // like an empty action (cheap re-spins while idle).
-                let deny = self.admission_denies(block).expect("checked in guard");
                 self.rec.prefetches_throttled += 1;
                 if deny == Deny::CachePressure {
                     self.rec.cache_high_water_hits += 1;
@@ -130,7 +130,7 @@ impl World {
                     deny_code,
                 );
             }
-            Some(block) => {
+            (Some(block), None) => {
                 self.procs[p].last_action_empty = false;
                 match self.pool.try_reserve_prefetch(ProcId(p as u16), block) {
                     Ok(buf) => {
@@ -190,7 +190,7 @@ impl World {
                     }
                 }
             }
-            None => {
+            (None, _) => {
                 // No prefetch to do: let the scrubber use the idle slot.
                 if self.scrub_attempt(p, sched) {
                     self.procs[p].last_action_empty = false;
@@ -239,7 +239,7 @@ impl World {
                 return Some(Deny::QueueDepth);
             }
         }
-        if self.pool.pressure().occupancy() >= adm.cfg.cache_high_water {
+        if self.pool.prefetch_occupancy() >= adm.cfg.cache_high_water {
             return Some(Deny::CachePressure);
         }
         None
@@ -284,9 +284,9 @@ impl World {
         };
         match self.cfg.prefetch.policy {
             PolicyKind::Oracle => {
-                let (string, frontier) = match &*self.workload {
-                    Workload::Local(strings) => (&strings[p], self.procs[p].cursor.position()),
-                    Workload::Global(s) => (s, self.global_cursor.position()),
+                let (string, frontier, hint) = match &*self.workload {
+                    Workload::Local(strings) => (&strings[p], self.procs[p].cursor.position(), p),
+                    Workload::Global(s) => (s, self.global_cursor.position(), 0),
                 };
                 let view = OracleView {
                     string,
@@ -294,7 +294,14 @@ impl World {
                     cross_portions: self.cfg.pattern.may_prefetch_across_portions(),
                     min_lead: self.cfg.prefetch.min_lead,
                 };
-                select_oracle_avoiding(&view, &self.pool, degraded)
+                if self.oracle_hint_sound {
+                    // `select_block` just ran with the same memo, so the
+                    // verified span reaches the degraded candidate.
+                    let hint = &self.oracle_hints[hint];
+                    select_oracle_avoiding_hinted(&view, &self.pool, hint, degraded)
+                } else {
+                    select_oracle_avoiding(&view, &self.pool, degraded)
+                }
             }
             PolicyKind::Obl { .. } | PolicyKind::PortionLearner { .. } => {
                 let preds = self.predictors[p]

@@ -2,9 +2,9 @@
 //!
 //! The paper reports means, distributions (CDFs), and ratios of measured
 //! quantities. [`Tally`] accumulates streaming moments (Welford), [`Sampled`]
-//! additionally retains every observation so percentiles/CDFs can be
-//! extracted, and [`TimeWeighted`] integrates a piecewise-constant value
-//! (e.g. disk queue length) over simulated time.
+//! retains every observation so percentiles/CDFs can be extracted (and
+//! folds them into a `Tally` on demand), and [`TimeWeighted`] integrates a
+//! piecewise-constant value (e.g. disk queue length) over simulated time.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -105,12 +105,13 @@ impl Tally {
     }
 }
 
-/// A tally that also keeps every observation, so percentiles and CDFs can be
-/// computed after the run. Experiments here record at most a few tens of
-/// thousands of observations, so retention is cheap.
+/// Every observation of a sequence, so percentiles and CDFs can be computed
+/// after the run. Experiments here record at most a few tens of thousands
+/// of observations, so retention is cheap. Recording only appends; the
+/// streaming summary is folded on demand, in recording order, so it is
+/// bit-identical to a [`Tally`] fed the same sequence.
 #[derive(Clone, Debug, Default)]
 pub struct Sampled {
-    tally: Tally,
     samples: Vec<SimDuration>,
 }
 
@@ -122,23 +123,24 @@ impl Sampled {
 
     /// Record one observation.
     pub fn record(&mut self, d: SimDuration) {
-        self.tally.record(d);
         self.samples.push(d);
     }
 
-    /// The streaming summary of the same observations.
-    pub fn tally(&self) -> &Tally {
-        &self.tally
+    /// The streaming summary of the same observations, folded now.
+    pub fn tally(&self) -> Tally {
+        let mut t = Tally::new();
+        self.samples.iter().for_each(|&d| t.record(d));
+        t
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.tally.count()
+        self.samples.len() as u64
     }
 
     /// Arithmetic mean, or zero if empty.
     pub fn mean(&self) -> SimDuration {
-        self.tally.mean()
+        self.tally().mean()
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by the nearest-rank method, or `None`
@@ -339,6 +341,25 @@ mod tests {
         assert_eq!(s.quantile(0.0), Some(ms(1)));
         assert_eq!(s.quantile(1.0), Some(ms(100)));
         assert!((s.fraction_at_most(ms(70)) - 0.7).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sampled_summary_is_the_tally_of_its_samples() {
+        let mut s = Sampled::new();
+        let mut t = Tally::new();
+        for x in [7u64, 3, 11, 3, 5, 1_000_003] {
+            s.record(SimDuration::from_nanos(x * 1_234_567));
+            t.record(SimDuration::from_nanos(x * 1_234_567));
+        }
+        let folded = s.tally();
+        assert_eq!(s.count(), t.count());
+        assert_eq!(folded.mean_millis().to_bits(), t.mean_millis().to_bits());
+        assert_eq!(
+            folded.stddev_millis().to_bits(),
+            t.stddev_millis().to_bits()
+        );
+        assert_eq!((folded.min(), folded.max()), (t.min(), t.max()));
+        assert_eq!(s.mean(), t.mean());
     }
 
     #[test]
