@@ -1,7 +1,6 @@
 //! Microbenchmarks for the hot engine primitives behind every run: the
-//! slab event queue (schedule / pop / cancel), the sharded farm engine at
-//! one and two threads (stream merge + window computation included), and
-//! world snapshot/clone (the cost of forking a warmed-up run).
+//! slab event queue (schedule / pop / cancel) and world snapshot/clone
+//! (the cost of forking a warmed-up run).
 //!
 //! Run with `cargo bench --bench engine`. The vendored criterion shim
 //! prints mean time per iteration; there is no statistical machinery, so
@@ -11,7 +10,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion};
 
 use rapid_transit::core::experiment::RunHandle;
 use rapid_transit::core::ExperimentConfig;
-use rapid_transit::disk::FarmConfig;
 use rapid_transit::patterns::{AccessPattern, SyncStyle};
 use rapid_transit::sim::{EventQueue, SimDuration, SimTime};
 
@@ -60,26 +58,6 @@ fn queue_cancel(b: &mut Bencher) {
     );
 }
 
-/// A farm small enough to finish in single-digit milliseconds but with
-/// real cross-shard traffic (forwarding on, 4 devices).
-fn bench_farm() -> FarmConfig {
-    FarmConfig {
-        devices: 4,
-        requests_per_device: 200,
-        ..FarmConfig::default()
-    }
-}
-
-fn farm_serial(b: &mut Bencher) {
-    let cfg = bench_farm();
-    b.iter(|| cfg.run(1).completions);
-}
-
-fn farm_two_threads(b: &mut Bencher) {
-    let cfg = bench_farm();
-    b.iter(|| cfg.run(2).completions);
-}
-
 /// A small but non-trivial machine for the clone benches: 4 procs, 4
 /// disks, prefetching on, enough reads that the warmed world holds live
 /// cache state, armed events, and per-proc predictors.
@@ -113,8 +91,6 @@ fn world_fork_and_finish(b: &mut Bencher) {
 fn engine_benches(c: &mut Criterion) {
     c.bench_function("queue/schedule_pop_256", queue_schedule_pop);
     c.bench_function("queue/cancel_half_256", queue_cancel);
-    c.bench_function("farm/serial_4dev", farm_serial);
-    c.bench_function("farm/two_threads_4dev", farm_two_threads);
     c.bench_function("world/clone_warm", world_clone);
     c.bench_function("world/fork_and_finish", world_fork_and_finish);
 }

@@ -1,9 +1,10 @@
 //! A minimal JSON value, writer, and parser.
 //!
-//! `BENCH_core.json` needs structured, machine-checkable output, and the
+//! The sweep reports (`BENCH_faults.json` and its siblings) and exported
+//! Perfetto traces need structured, machine-checkable output, and the
 //! workspace builds offline with no serde. This module covers exactly what
-//! the perf report needs: objects, arrays, strings, finite numbers, bools,
-//! and null, with a strict parser good enough to validate round trips.
+//! they need: objects, arrays, strings, finite numbers, bools, and null,
+//! with a strict parser good enough to validate round trips.
 
 use std::fmt;
 

@@ -25,7 +25,6 @@ pub mod crashes;
 pub mod faults;
 pub mod integrity;
 pub mod json;
-pub mod perf;
 pub mod soak;
 pub mod tail;
 pub mod trace_check;
@@ -57,14 +56,9 @@ impl FlightDump {
 
 pub use rt_core::sweeps::{ComputePoint, LeadPoint};
 
-/// Threads used by the sweep runners.
-pub fn threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
-}
-
 /// Run the paper's full §IV-D grid as base/prefetch pairs.
 pub fn grid_pairs() -> Vec<RunPair> {
-    run_pairs_parallel(&paper_grid(), threads())
+    run_pairs_parallel(&paper_grid(), sweeps::default_threads())
 }
 
 /// The §V-C computation sweep: `gw`, synchronizing every 10 blocks per
@@ -77,7 +71,7 @@ pub fn compute_sweep() -> Vec<ComputePoint> {
     sweeps::compute_sweep_over(
         &base,
         &[0, 5, 10, 20, 30, 45, 60, 80, 100, 150, 200],
-        threads(),
+        sweeps::default_threads(),
     )
 }
 
@@ -98,7 +92,7 @@ pub const LEADS: [u32; 7] = [0, 15, 30, 45, 60, 75, 90];
 /// whole file per process (40 000 reads); divide their total time by 20
 /// when comparing with the global patterns, as the paper does.
 pub fn lead_sweep() -> Vec<LeadPoint> {
-    sweeps::lead_sweep_over(&LEAD_PATTERNS, &LEADS, threads())
+    sweeps::lead_sweep_over(&LEAD_PATTERNS, &LEADS, sweeps::default_threads())
 }
 
 /// The no-prefetch reference runs for the lead-sweep patterns (for the

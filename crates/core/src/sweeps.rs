@@ -21,18 +21,11 @@ use crate::config::{ExperimentConfig, PrefetchConfig};
 use crate::experiment::{run_experiment, run_pairs_parallel};
 use crate::metrics::{RunMetrics, RunPair};
 
-/// Worker threads used by the sweeps: the `RT_THREADS` environment
-/// variable when set to a positive integer, otherwise the host's available
-/// parallelism. Worker count never changes any simulated number — only how
-/// the (internally deterministic) runs are scheduled onto the host.
+/// Worker threads used by the sweeps: the host's available parallelism
+/// (4 when it cannot be queried). Worker count never changes any simulated
+/// number — only how the (internally deterministic) runs are scheduled
+/// onto the host.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("RT_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 

@@ -46,8 +46,10 @@ impl World {
         if matches!(
             self.pool.buffer(buf).state,
             rt_cache::BufState::Ready { .. }
-        ) {
-            // A duplicate already delivered the block (verified).
+        ) || self.awaiting_issue(block)
+        {
+            // A duplicate already delivered the block (verified), or
+            // outlived its episode into a fresh reservation.
             self.rec.stale_completions += 1;
             return;
         }
@@ -106,9 +108,10 @@ impl World {
                 rt_cache::BufState::Pending { .. }
             )
         });
-        if !pending {
+        if !pending || self.awaiting_issue(block) {
             // The fill was discarded while the check ran (e.g. a duplicate
-            // error completion dropped a speculative prefetch).
+            // error completion dropped a speculative prefetch), and perhaps
+            // a new miss has since reserved a buffer it has not fetched.
             if let Some(ig) = &mut self.integrity {
                 ig.verifying.remove(&block);
             }

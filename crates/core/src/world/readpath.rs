@@ -683,8 +683,10 @@ impl World {
             if matches!(
                 self.pool.buffer(buf).state,
                 rt_cache::BufState::Ready { .. }
-            ) {
-                // A redirected duplicate already delivered this block.
+            ) || self.awaiting_issue(block)
+            {
+                // A redirected duplicate already delivered this block, or
+                // outlived its episode into a fresh reservation.
                 self.rec.stale_completions += 1;
                 return;
             }
@@ -724,6 +726,23 @@ impl World {
         }
         woken.clear();
         self.wake_scratch = woken;
+    }
+
+    /// Whether `block`'s pending buffer was reserved by a miss that has
+    /// not submitted its fetch yet: a reader is still in the miss critical
+    /// section, between [`World::start_miss`] and [`World::miss_issue`]
+    /// (the only waiting state that has not begun its idle period). No
+    /// request of this episode exists, so a completion for the block now
+    /// is a duplicate from an earlier episode — a hedge loser or timeout
+    /// redirect that outlived its delivery — and must not fill the fresh
+    /// buffer or wake a reader that is not idle yet.
+    pub(super) fn awaiting_issue(&self, block: BlockId) -> bool {
+        let mut found = false;
+        self.waiters.for_each(block, |w| {
+            let proc = &self.procs[w.index()];
+            found |= proc.state == PState::WaitBlock && proc.idle_since.is_none();
+        });
+        found
     }
 
     /// Resume a process whose wake condition fired, unless a prefetch
@@ -831,8 +850,10 @@ impl World {
         if matches!(
             self.pool.buffer(buf).state,
             rt_cache::BufState::Ready { .. }
-        ) {
-            // A duplicate already delivered the block; the failure is moot.
+        ) || self.awaiting_issue(block)
+        {
+            // A duplicate already delivered the block (or belongs to an
+            // earlier episode); the failure is moot.
             self.rec.stale_completions += 1;
             return;
         }

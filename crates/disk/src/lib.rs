@@ -27,7 +27,6 @@ pub mod device;
 pub mod fault;
 pub mod request;
 pub mod service;
-pub mod stream;
 pub mod striping;
 pub mod subsystem;
 
@@ -35,6 +34,5 @@ pub use device::{Discipline, Disk, Finished, QueueFull};
 pub use fault::{Applied, DeviceFault, DeviceFaults, DiskFault, FaultKind, FaultPlan};
 pub use request::{BlockId, DiskId, DiskRequest, FetchKind, ProcId};
 pub use service::{DiskGeometry, FixedLatency, SeekRotate, Service, ServiceModel};
-pub use stream::{DeviceStream, FarmConfig, FarmOutcome, StreamEv};
 pub use striping::{Contiguous, FileLayout, Interleaved, Layout, Placement};
 pub use subsystem::{Completed, DiskSubsystem, Started};

@@ -39,7 +39,6 @@ pub mod engine;
 pub mod event;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod timeline;
@@ -51,7 +50,6 @@ pub use engine::{
 pub use event::{EventId, EventQueue};
 pub use resource::{Admission, FifoServer, SimLock};
 pub use rng::Rng;
-pub use shard::{run_shards, run_shards_reference, ShardCtx, ShardKey, ShardModel, ShardRun};
 pub use stats::{Ratio, Sampled, Tally, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use timeline::Timeline;

@@ -9,6 +9,7 @@
 
 use rapid_transit::core::experiment::{paper_grid, run_pairs_parallel};
 use rapid_transit::core::report::{fraction_at_least, median, pct, Table};
+use rapid_transit::core::sweeps::default_threads;
 
 fn main() {
     let grid = paper_grid();
@@ -16,8 +17,7 @@ fn main() {
         "Running the paper grid: {} configurations x 2 (base/prefetch)...\n",
         grid.len()
     );
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let pairs = run_pairs_parallel(&grid, threads);
+    let pairs = run_pairs_parallel(&grid, default_threads());
 
     let mut t = Table::new(&[
         "experiment",

@@ -12,6 +12,7 @@
 
 use rapid_transit::core::experiment::run_pairs_parallel;
 use rapid_transit::core::report::Table;
+use rapid_transit::core::sweeps::default_threads;
 use rapid_transit::core::ExperimentConfig;
 use rapid_transit::patterns::{AccessPattern, SyncStyle};
 
@@ -34,10 +35,7 @@ fn main() {
         .collect();
 
     println!("Pattern comparison under sync style `{style}` (balanced compute)\n");
-    let pairs = run_pairs_parallel(
-        &configs,
-        std::thread::available_parallelism().map_or(2, |n| n.get()),
-    );
+    let pairs = run_pairs_parallel(&configs, default_threads());
 
     let mut t = Table::new(&[
         "pattern",

@@ -7,7 +7,6 @@
 //! rapid-transit sweep-compute       the §V-C computation sweep (Fig. 12)
 //! rapid-transit trace <pattern>     record a run and analyze its trace
 //! rapid-transit trace-check <file>  validate an exported Perfetto trace
-//! rapid-transit perf                measure the fixed perf slice
 //! rapid-transit faults              run the fault-injection sweep
 //! rapid-transit crashes             run the node-crash sweep
 //! rapid-transit soak                run the overload/chaos soak
@@ -32,6 +31,7 @@ use rapid_transit::core::experiment::{
     run_pairs_parallel,
 };
 use rapid_transit::core::report::Table;
+use rapid_transit::core::sweeps::default_threads;
 use rapid_transit::core::trace::{replay_obl, Trace};
 use rapid_transit::core::{ExperimentConfig, ObsConfig, PrefetchConfig, RunMetrics};
 use rapid_transit::patterns::{AccessPattern, SyncStyle};
@@ -51,7 +51,6 @@ fn main() -> ExitCode {
         "sweep-compute" => cmd_sweep_compute(rest),
         "trace" => cmd_trace(rest),
         "trace-check" => cmd_trace_check(rest),
-        "perf" => cmd_perf(rest),
         "faults" => cmd_faults(rest),
         "crashes" => cmd_crashes(rest),
         "soak" => cmd_soak(rest),
@@ -84,10 +83,6 @@ commands:
   trace <pat>    record one run's access trace and analyze it off-line
   trace-check F  validate an exported Perfetto trace file (well-formed,
                  spans per track in order, attribution sums exact)
-  perf           measure the fixed perf slice, update BENCH_core.json
-                 (--label L, --out FILE, --quick, --check,
-                  --threads LIST scaling-curve thread counts, e.g. 1,2,4;
-                  RT_THREADS=N overrides the default when --threads absent)
   faults         run the fault-injection sweep, write BENCH_faults.json
                  (--out FILE, --smoke, --check)
   crashes        run the node-crash sweep (crash/rejoin/cascade over all
@@ -388,8 +383,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_grid(args: &[String]) -> Result<(), String> {
     let csv = has_flag(args, "--csv");
     let grid = paper_grid();
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let pairs = run_pairs_parallel(&grid, threads);
+    let pairs = run_pairs_parallel(&grid, default_threads());
     if csv {
         println!("experiment,total_base_ms,total_pf_ms,read_base_ms,read_pf_ms,hit_pf,disk_base_ms,disk_pf_ms");
         for p in &pairs {
@@ -476,88 +470,6 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
          attribution, {} instants, {} counter samples), {} dropped",
         stats.events, stats.spans, stats.reads, stats.instants, stats.counters, stats.dropped
     );
-    Ok(())
-}
-
-fn cmd_perf(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::json::Json;
-    use rapid_transit::bench::perf;
-    use rapid_transit::cli::{flag_value, parse_thread_list};
-
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_core.json")
-        .to_string();
-    let label = flag_value(args, "--label")?
-        .unwrap_or("optimized")
-        .to_string();
-    let quick = has_flag(args, "--quick");
-    // Scaling-curve thread counts: --threads wins, then RT_THREADS (a
-    // single count, measured against serial), then the default two points.
-    let threads_env = std::env::var("RT_THREADS").ok();
-    let thread_points = match flag_value(args, "--threads")? {
-        Some(list) => parse_thread_list(list)?,
-        None => match threads_env.as_deref() {
-            Some(v) => {
-                let n = parse_thread_list(v)
-                    .map_err(|e| format!("RT_THREADS: {e}"))?
-                    .into_iter()
-                    .max()
-                    .unwrap_or(1);
-                if n > 1 {
-                    vec![1, n]
-                } else {
-                    vec![1]
-                }
-            }
-            None => perf::default_thread_points(),
-        },
-    };
-
-    if has_flag(args, "--check") {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        perf::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let entries = doc.get("entries").and_then(Json::as_array).unwrap_or(&[]);
-        println!("{out}: valid perf report, {} entries", entries.len());
-        return Ok(());
-    }
-
-    println!(
-        "measuring perf slice ({}, scaling over {:?} threads ...)",
-        if quick { "quick" } else { "full" },
-        thread_points,
-    );
-    let entry = perf::measure(&label, quick, &thread_points);
-    println!(
-        "{label}: {:.0} events/sec ({} events, {:.0} ms), \
-         {:.2} runs/sec ({} runs on {} threads, {:.0} ms), peak {} live events",
-        entry.events_per_sec,
-        entry.events,
-        entry.wall_ms,
-        entry.runs_per_sec,
-        entry.sweep_runs,
-        entry.threads,
-        entry.sweep_wall_ms,
-        entry.peak_live_events,
-    );
-    println!(
-        "{label}: fork-shared sweep {:.2} runs/sec ({} runs, {:.0} ms) vs plain {:.2}",
-        entry.fork_runs_per_sec, entry.fork_runs, entry.fork_wall_ms, entry.runs_per_sec,
-    );
-    for p in &entry.scaling {
-        println!(
-            "{label}: farm x{} threads: {:.0} events/sec ({} events, {:.0} ms, speedup {:.2})",
-            p.threads, p.events_per_sec, p.events, p.wall_ms, p.speedup,
-        );
-    }
-    let existing = match std::fs::read_to_string(&out) {
-        Ok(text) => Some(Json::parse(&text).map_err(|e| format!("{out}: {e}"))?),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(format!("cannot read {out}: {e}")),
-    };
-    let doc = perf::merge_report(existing.as_ref(), &entry);
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
     Ok(())
 }
 

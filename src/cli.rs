@@ -67,30 +67,6 @@ pub fn parse_sync(s: &str) -> Result<SyncStyle, String> {
     }
 }
 
-/// Parse a comma-separated list of worker-thread counts (`1,2,4`), as
-/// taken by `perf --threads`. Every count must be a positive integer;
-/// duplicates are kept in order (the caller measures each point as given).
-pub fn parse_thread_list(s: &str) -> Result<Vec<usize>, String> {
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let n: usize = part
-            .parse()
-            .map_err(|_| format!("bad thread count {part:?} in {s:?}"))?;
-        if n == 0 {
-            return Err("thread counts must be positive".into());
-        }
-        out.push(n);
-    }
-    if out.is_empty() {
-        return Err(format!("no thread counts in {s:?}"));
-    }
-    Ok(out)
-}
-
 /// Build an [`ExperimentConfig`] from `run`-style command-line options.
 pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     let pattern = match flag_value(args, "--pattern")? {
@@ -502,16 +478,6 @@ mod tests {
         // Zero values are rejected at parse time.
         assert!(build_config(&args(&["--queue-depth", "0"])).is_err());
         assert!(build_config(&args(&["--prefetch-credits", "0"])).is_err());
-    }
-
-    #[test]
-    fn thread_lists_parse() {
-        assert_eq!(parse_thread_list("1,2,4").unwrap(), vec![1, 2, 4]);
-        assert_eq!(parse_thread_list(" 8 ").unwrap(), vec![8]);
-        assert_eq!(parse_thread_list("2,,3").unwrap(), vec![2, 3]);
-        assert!(parse_thread_list("0").is_err());
-        assert!(parse_thread_list("two").is_err());
-        assert!(parse_thread_list("").is_err());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! move these numbers — regenerate them deliberately (see the table below)
 //! and re-validate the figure benches against EXPERIMENTS.md when it does.
 
-use rapid_transit::core::experiment::run_experiment;
+use rapid_transit::core::experiment::{run_experiment, run_experiment_instrumented};
+use rapid_transit::core::sweeps::{default_threads, parallel_map};
 use rapid_transit::core::{ExperimentConfig, PrefetchConfig};
 use rapid_transit::patterns::{AccessPattern, SyncStyle};
 
@@ -63,5 +64,41 @@ fn golden_table_spans_all_patterns_both_ways() {
                 "missing golden entry for {pattern}/pf={pf}"
             );
         }
+    }
+}
+
+/// Events dispatched by the 16,000-block slice (the paper machine with the
+/// file and the read count scaled ×8), as (pattern, prefetch, events). The
+/// six sum to 582,644, a third of the 1,747,932 that every `BENCH_core.json`
+/// entry records for its three passes over the same slice, so those frozen
+/// entries stay comparable with today's engine.
+const SLICE_EVENTS: &[(&str, bool, u64)] = &[
+    ("gw", false, 80020),
+    ("gw", true, 98879),
+    ("lfp", false, 80020),
+    ("lfp", true, 118114),
+    ("grp", false, 80020),
+    ("grp", true, 125591),
+];
+
+#[test]
+fn slice_runs_dispatch_pinned_event_counts() {
+    assert_eq!(SLICE_EVENTS.iter().map(|&(.., n)| n).sum::<u64>(), 582_644);
+    let got = parallel_map(SLICE_EVENTS, default_threads(), |&(abbrev, prefetch, _)| {
+        let pattern = AccessPattern::from_abbrev(abbrev).unwrap();
+        let mut cfg = ExperimentConfig::paper_default(pattern, SyncStyle::BlocksPerProc(10));
+        cfg.workload.file_blocks = 16_000;
+        cfg.workload.total_reads = 16_000;
+        if prefetch {
+            cfg.prefetch = PrefetchConfig::paper();
+        }
+        run_experiment_instrumented(&cfg).1.events
+    });
+    for (&(abbrev, prefetch, events), got) in SLICE_EVENTS.iter().zip(got) {
+        assert_eq!(
+            got, events,
+            "{abbrev}/pf={prefetch}: the 16,000-block run dispatched a \
+             different number of events"
+        );
     }
 }

@@ -104,3 +104,20 @@ fn all_layer_runs_match_golden_counters() {
         );
     }
 }
+
+/// Regression: at 16,000 blocks and seed 13, grp's straggler-served
+/// primary of a hedged fetch completed after the hedge had delivered the
+/// block and it had been evicted, landing while a new miss of the same
+/// block was still in its critical section. The stale fill woke that
+/// reader before its idle period began ("resume without idle start").
+/// Such completions are now absorbed as stale.
+#[test]
+fn stale_duplicate_during_a_new_miss_is_absorbed() {
+    let mut cfg = all_layers(AccessPattern::GlobalRandomPortions);
+    cfg.workload.file_blocks = 16_000;
+    cfg.workload.total_reads = 16_000;
+    cfg.seed = 13;
+    let m = run_experiment(&cfg);
+    assert_eq!(m.reads.count(), 16_000);
+    assert!(m.faults.stale_completions > 0);
+}
