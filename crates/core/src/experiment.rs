@@ -129,8 +129,8 @@ fn run_shared_world(
 }
 
 /// Assemble the run's [`RunMetrics`] from a completed world. The sample
-/// reservoirs and timelines are moved out rather than copied: every caller
-/// drops the world right after.
+/// reservoirs are moved out rather than copied: every caller drops the
+/// world right after.
 fn collect_metrics(world: &mut World, end_time: rt_sim::SimTime) -> RunMetrics {
     use std::mem::take;
     let rec = &mut world.rec;
@@ -138,9 +138,6 @@ fn collect_metrics(world: &mut World, end_time: rt_sim::SimTime) -> RunMetrics {
     let disk_response_times = take(&mut rec.disk_responses);
     let hit_wait = take(&mut rec.hit_wait);
     let hedged_read_times = take(&mut rec.hedged_read_times);
-    let tl_prefetched = take(&mut rec.tl_prefetched);
-    let tl_barrier = take(&mut rec.tl_barrier);
-    let tl_outstanding_io = take(&mut rec.tl_outstanding_io);
     let world = &*world;
     let cfg = world.cfg();
     let pool_stats = world.pool().stats().clone();
@@ -186,9 +183,6 @@ fn collect_metrics(world: &mut World, end_time: rt_sim::SimTime) -> RunMetrics {
                 finish: finish[p],
             })
             .collect(),
-        tl_prefetched,
-        tl_barrier,
-        tl_outstanding_io,
         faults: world.fault_metrics(end_time),
         overload: world.overload_metrics(),
         integrity: world.integrity_metrics(end_time),

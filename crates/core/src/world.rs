@@ -22,9 +22,7 @@ use rt_cache::{BufState, BufferId, BufferPool, Lookup, PoolConfig};
 use rt_disk::{BlockId, DiskId, FetchKind, ProcId};
 use rt_fs::{FileId, FileSystem, FsError, FsStarted};
 use rt_patterns::{Access, Cursor, Predictor, SyncStyle, Workload};
-use rt_sim::{
-    EventId, Model, Rng, Sampled, Scheduler, SimDuration, SimLock, SimTime, Tally, Timeline,
-};
+use rt_sim::{EventId, Model, Rng, Sampled, Scheduler, SimDuration, SimLock, SimTime, Tally};
 
 use crate::admission::{AdmissionState, Deny, ParkedDemand};
 use crate::barrier::Barrier;
@@ -238,12 +236,6 @@ pub(crate) struct Recorder {
     pub proc_hits: Vec<u64>,
     /// Prefetch I/Os issued per node.
     pub proc_prefetches: Vec<u64>,
-    /// Prefetched-but-unused blocks held, over time.
-    pub tl_prefetched: Timeline,
-    /// Processes blocked at the barrier, over time.
-    pub tl_barrier: Timeline,
-    /// Disk requests in flight (queued or in service), over time.
-    pub tl_outstanding_io: Timeline,
     pub action_time: Tally,
     pub overrun: Tally,
     pub idle_necessary: Tally,
@@ -714,7 +706,7 @@ impl World {
             global_cursor: Cursor::new(),
             global_portion_open: 0,
             procs,
-            waiters: WaiterTable::new(file_blocks),
+            waiters: WaiterTable::new(file_blocks, cfg.procs),
             wake_scratch: Vec::new(),
             barrier,
             total_reads_done: 0,

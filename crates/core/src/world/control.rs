@@ -116,9 +116,6 @@ impl World {
             }
         }
         let opened = self.barrier.arrive(ProcId(p as u16), now);
-        self.rec
-            .tl_barrier
-            .record(now, self.barrier.waiting() as f64);
         match opened {
             Some(open) => {
                 self.after_barrier_open(p, reason, sched);
@@ -253,9 +250,6 @@ impl World {
         proc.finished_at = Some(now);
         self.finished += 1;
         let departed = self.barrier.depart(ProcId(p as u16), now);
-        self.rec
-            .tl_barrier
-            .record(now, self.barrier.waiting() as f64);
         if let Some(open) = departed {
             // A departing straggler can complete an episode; the portion
             // gate, if any, advances with the released processes' rechecks.

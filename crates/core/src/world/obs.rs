@@ -59,7 +59,9 @@ const S_PINNED: usize = 3;
 const S_CREDITS: usize = 4;
 const S_PARKED: usize = 5;
 const S_UNUSED_EVICT: usize = 6;
-const SERIES_BASE: usize = 7;
+const S_IN_FLIGHT: usize = 7;
+const S_BARRIER: usize = 8;
+const SERIES_BASE: usize = 9;
 
 /// Recording state of an observed world.
 #[derive(Clone)]
@@ -129,6 +131,8 @@ impl World {
             Series::new("admission credits"),
             Series::new("parked demands"),
             Series::new("unused evictions"),
+            Series::new("in-flight I/O"),
+            Series::new("barrier waiting"),
         ];
         debug_assert_eq!(series.len(), SERIES_BASE);
         let health = self.faults.is_some();
@@ -195,6 +199,8 @@ impl World {
         obs.series[S_CREDITS].record(at, credits);
         obs.series[S_PARKED].record(at, parked);
         obs.series[S_UNUSED_EVICT].record(at, self.pool.unused_evictions() as f64);
+        obs.series[S_IN_FLIGHT].record(at, self.outstanding_io as f64);
+        obs.series[S_BARRIER].record(at, self.barrier.waiting() as f64);
         let stride = if obs.health { 3 } else { 1 };
         for (i, d) in self.disks().disks().iter().enumerate() {
             let base = SERIES_BASE + i * stride;

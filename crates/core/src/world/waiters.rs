@@ -1,144 +1,167 @@
-//! Per-block waiter lists, stored densely.
+//! Per-block waiter queues, threaded through the processes.
 //!
 //! Every read that blocks on an in-flight I/O registers here; the disk
-//! completion drains the block's list and wakes everyone. The table is a
-//! flat `Vec` indexed by block number — the file size is fixed at
-//! construction — and each list holds its first few waiters inline, so the
-//! steady-state wait/wake cycle touches no allocator and no hash: almost
-//! every block has at most a handful of concurrent readers, and the rare
-//! pile-up spills to a heap vector that keeps its capacity for the rest of
-//! the run.
+//! completion drains the block's queue and wakes everyone. A process in
+//! `WaitBlock` waits on exactly one block, so each queue is an intrusive
+//! singly linked list through one `next` link per process, and a block
+//! holds only its queue's `(head, tail)` pair, 4 bytes per file block.
+//! Push and drain are O(1) per waiter, and nothing allocates after
+//! construction.
 
 use rt_disk::{BlockId, ProcId};
 
-/// Waiters held inline per block before spilling to the heap.
-const INLINE: usize = 4;
+/// Link value for "no process": an empty queue's ends, or the `next` of
+/// the last waiter. A linked process is stored as its index plus one, so
+/// an empty table is all zero bytes.
+const NONE: u16 = 0;
+/// `next` value of a process registered on no block.
+const FREE: u16 = u16::MAX;
 
-#[derive(Clone)]
-struct WaiterList {
-    inline: [ProcId; INLINE],
-    len: u8,
-    spill: Vec<ProcId>,
+fn link(proc: ProcId) -> u16 {
+    proc.0 + 1
 }
 
-impl WaiterList {
-    const EMPTY: WaiterList = WaiterList {
-        inline: [ProcId(0); INLINE],
-        len: 0,
-        spill: Vec::new(),
-    };
+fn unlink(link: u16) -> usize {
+    link as usize - 1
 }
 
-/// Dense block-number → waiting-processes table.
+/// Block-number → waiting-processes table.
 #[derive(Clone)]
 pub(crate) struct WaiterTable {
-    lists: Vec<WaiterList>,
+    /// Per block: `[head, tail]` of its queue, both `NONE` when empty.
+    ends: Vec<[u16; 2]>,
+    /// Per process: the next waiter on the same block (`NONE` at the
+    /// tail), or `FREE` when the process waits on no block.
+    next: Vec<u16>,
+    /// Registrations across every block.
+    len: usize,
 }
 
 impl WaiterTable {
-    /// A table covering blocks `0..file_blocks`, all lists empty.
-    pub fn new(file_blocks: u32) -> Self {
+    /// A table covering blocks `0..file_blocks` and processes
+    /// `0..procs`, all queues empty.
+    pub fn new(file_blocks: u32, procs: u16) -> Self {
+        assert!(
+            procs < FREE,
+            "process ids must leave room for the sentinels"
+        );
         WaiterTable {
-            lists: vec![WaiterList::EMPTY; file_blocks as usize],
+            ends: vec![[NONE; 2]; file_blocks as usize],
+            next: vec![FREE; procs as usize],
+            len: 0,
         }
     }
 
     /// Register `proc` as waiting for `block`. Wake order is registration
-    /// order (inline entries first, then the spill — which is exactly
-    /// arrival order).
+    /// order. A process holds at most one registration at a time.
     pub fn push(&mut self, block: BlockId, proc: ProcId) {
-        let list = &mut self.lists[block.index()];
-        if (list.len as usize) < INLINE {
-            list.inline[list.len as usize] = proc;
-            list.len += 1;
+        let p = proc.index();
+        debug_assert_eq!(self.next[p], FREE, "{proc:?} already waits on a block");
+        self.next[p] = NONE;
+        let [head, tail] = &mut self.ends[block.index()];
+        if *tail == NONE {
+            *head = link(proc);
         } else {
-            list.spill.push(proc);
+            self.next[unlink(*tail)] = link(proc);
         }
+        *tail = link(proc);
+        self.len += 1;
     }
 
     /// Visit every waiter for `block` in registration order without
-    /// draining the list (used for latency-attribution transitions, where
+    /// draining the queue (used for latency-attribution transitions, where
     /// the wait continues but its component changes).
     pub fn for_each(&self, block: BlockId, mut f: impl FnMut(ProcId)) {
-        let list = &self.lists[block.index()];
-        for p in &list.inline[..list.len as usize] {
-            f(*p);
-        }
-        for p in &list.spill {
-            f(*p);
+        let mut cur = self.ends[block.index()][0];
+        while cur != NONE {
+            let p = unlink(cur);
+            f(ProcId(p as u16));
+            cur = self.next[p];
         }
     }
 
     /// Total registrations across every block. A drained run must report
     /// zero — anything left is a waiter whose wake will never fire.
     pub fn total(&self) -> usize {
-        self.lists
-            .iter()
-            .map(|l| l.len as usize + l.spill.len())
-            .sum()
+        self.len
     }
 
     /// Is anyone waiting for `block`?
     pub fn has_waiters(&self, block: BlockId) -> bool {
-        let list = &self.lists[block.index()];
-        list.len > 0 || !list.spill.is_empty()
+        self.ends[block.index()][0] != NONE
     }
 
-    /// Remove one registration of `proc` from `block`'s list, preserving
-    /// the registration order of everyone else. Returns whether an entry
-    /// was removed (used when a waiting process crashes — its wake must
-    /// never fire).
+    /// Remove `proc`'s registration from `block`'s queue, preserving the
+    /// registration order of everyone else. Returns whether an entry was
+    /// removed (used when a waiting process crashes — its wake must never
+    /// fire).
     pub fn remove(&mut self, block: BlockId, proc: ProcId) -> bool {
-        let list = &mut self.lists[block.index()];
-        let len = list.len as usize;
-        if let Some(pos) = list.inline[..len].iter().position(|&p| p == proc) {
-            list.inline.copy_within(pos + 1..len, pos);
-            if list.spill.is_empty() {
-                list.len -= 1;
-            } else {
-                list.inline[len - 1] = list.spill.remove(0);
-            }
-            return true;
+        if self.next[proc.index()] == FREE {
+            return false;
         }
-        if let Some(pos) = list.spill.iter().position(|&p| p == proc) {
-            list.spill.remove(pos);
-            return true;
+        let target = link(proc);
+        let [head, tail] = &mut self.ends[block.index()];
+        let mut prev = NONE;
+        let mut cur = *head;
+        while cur != NONE {
+            let after = self.next[unlink(cur)];
+            if cur == target {
+                if prev == NONE {
+                    *head = after;
+                } else {
+                    self.next[unlink(prev)] = after;
+                }
+                if *tail == cur {
+                    *tail = prev;
+                }
+                self.next[proc.index()] = FREE;
+                self.len -= 1;
+                return true;
+            }
+            prev = cur;
+            cur = after;
         }
         false
     }
 
     /// Move every waiter for `block` into `out` (appended in registration
-    /// order), leaving the list empty. The spill vector keeps its capacity
-    /// for the block's next pile-up.
+    /// order), leaving the queue empty.
     pub fn drain_into(&mut self, block: BlockId, out: &mut Vec<ProcId>) {
-        let list = &mut self.lists[block.index()];
-        out.extend_from_slice(&list.inline[..list.len as usize]);
-        list.len = 0;
-        out.append(&mut list.spill);
+        let ends = &mut self.ends[block.index()];
+        let mut cur = ends[0];
+        *ends = [NONE; 2];
+        while cur != NONE {
+            let p = unlink(cur);
+            out.push(ProcId(p as u16));
+            cur = std::mem::replace(&mut self.next[p], FREE);
+            self.len -= 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
-    fn drain_preserves_registration_order_across_spill() {
-        let mut t = WaiterTable::new(8);
+    fn drain_preserves_registration_order() {
+        let mut t = WaiterTable::new(8, 7);
         for p in 0..7u16 {
             t.push(BlockId(3), ProcId(p));
         }
         let mut out = Vec::new();
         t.drain_into(BlockId(3), &mut out);
         assert_eq!(out, (0..7).map(ProcId).collect::<Vec<_>>());
+        assert_eq!(t.total(), 0);
         out.clear();
         t.drain_into(BlockId(3), &mut out);
-        assert!(out.is_empty(), "drain leaves the list empty");
+        assert!(out.is_empty(), "drain leaves the queue empty");
     }
 
     #[test]
-    fn lists_are_independent() {
-        let mut t = WaiterTable::new(4);
+    fn queues_are_independent() {
+        let mut t = WaiterTable::new(4, 10);
         t.push(BlockId(0), ProcId(9));
         t.push(BlockId(2), ProcId(1));
         let mut out = Vec::new();
@@ -150,41 +173,113 @@ mod tests {
     }
 
     #[test]
-    fn remove_preserves_order_across_spill() {
-        let mut t = WaiterTable::new(2);
+    fn remove_preserves_order() {
+        let mut t = WaiterTable::new(2, 7);
         for p in 0..7u16 {
             t.push(BlockId(1), ProcId(p));
         }
-        // Remove an inline entry: the first spilled waiter backfills.
+        // Head, middle and tail entries.
+        assert!(t.remove(BlockId(1), ProcId(0)));
         assert!(t.remove(BlockId(1), ProcId(2)));
-        // Remove a spilled entry.
         assert!(t.remove(BlockId(1), ProcId(6)));
         // A proc that is not registered is a no-op.
         assert!(!t.remove(BlockId(1), ProcId(2)));
+        // Neither is one registered on another block.
+        t.push(BlockId(0), ProcId(6));
+        assert!(!t.remove(BlockId(1), ProcId(6)));
+        // The tail moved back: a new registration still lands last.
+        t.push(BlockId(1), ProcId(2));
         let mut out = Vec::new();
         t.drain_into(BlockId(1), &mut out);
-        assert_eq!(out, [0, 1, 3, 4, 5].map(ProcId).to_vec());
+        assert_eq!(out, [1, 3, 4, 5, 2].map(ProcId).to_vec());
+        assert_eq!(t.total(), 1);
     }
 
     #[test]
-    fn remove_last_inline_entry_empties_list() {
-        let mut t = WaiterTable::new(1);
+    fn remove_only_entry_empties_queue() {
+        let mut t = WaiterTable::new(1, 5);
         t.push(BlockId(0), ProcId(4));
         assert!(t.has_waiters(BlockId(0)));
         assert!(t.remove(BlockId(0), ProcId(4)));
         assert!(!t.has_waiters(BlockId(0)));
+        t.push(BlockId(0), ProcId(3));
+        let mut out = Vec::new();
+        t.drain_into(BlockId(0), &mut out);
+        assert_eq!(out, vec![ProcId(3)]);
     }
 
     #[test]
-    fn reuse_after_drain() {
-        let mut t = WaiterTable::new(1);
-        for round in 0..3 {
-            for p in 0..6u16 {
-                t.push(BlockId(0), ProcId(p));
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already waits on a block")]
+    fn second_registration_is_rejected() {
+        let mut t = WaiterTable::new(2, 1);
+        t.push(BlockId(0), ProcId(0));
+        t.push(BlockId(1), ProcId(0));
+    }
+
+    /// One table operation; indices are reduced modulo the table shape.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Push { block: u8, proc: u8 },
+        Remove { block: u8, proc: u8 },
+        Drain { block: u8 },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (any::<u8>(), any::<u8>()).prop_map(|(block, proc)| Op::Push { block, proc }),
+            (any::<u8>(), any::<u8>()).prop_map(|(block, proc)| Op::Remove { block, proc }),
+            any::<u8>().prop_map(|block| Op::Drain { block }),
+        ]
+    }
+
+    proptest! {
+        /// Random operation sequences agree with a `Vec<Vec<ProcId>>`
+        /// model on every queue's contents and order after every step.
+        #[test]
+        fn matches_vec_of_vecs_model(
+            blocks in 1u32..6,
+            procs in 1u16..9,
+            ops in prop::collection::vec(op(), 0..80),
+        ) {
+            let mut table = WaiterTable::new(blocks, procs);
+            let mut model: Vec<Vec<ProcId>> = vec![Vec::new(); blocks as usize];
+            for op in ops {
+                match op {
+                    Op::Push { block, proc } => {
+                        let p = ProcId(proc as u16 % procs);
+                        // A process waits on at most one block.
+                        if model.iter().all(|q| !q.contains(&p)) {
+                            let b = block as usize % blocks as usize;
+                            table.push(BlockId(b as u32), p);
+                            model[b].push(p);
+                        }
+                    }
+                    Op::Remove { block, proc } => {
+                        let p = ProcId(proc as u16 % procs);
+                        let b = block as usize % blocks as usize;
+                        let pos = model[b].iter().position(|&w| w == p);
+                        if let Some(i) = pos {
+                            model[b].remove(i);
+                        }
+                        prop_assert_eq!(table.remove(BlockId(b as u32), p), pos.is_some());
+                    }
+                    Op::Drain { block } => {
+                        let b = block as usize % blocks as usize;
+                        let mut out = Vec::new();
+                        table.drain_into(BlockId(b as u32), &mut out);
+                        prop_assert_eq!(out, std::mem::take(&mut model[b]));
+                    }
+                }
+                for (b, queue) in model.iter().enumerate() {
+                    let block = BlockId(b as u32);
+                    let mut seen = Vec::new();
+                    table.for_each(block, |p| seen.push(p));
+                    prop_assert_eq!(&seen, queue);
+                    prop_assert_eq!(table.has_waiters(block), !queue.is_empty());
+                }
+                prop_assert_eq!(table.total(), model.iter().map(Vec::len).sum::<usize>());
             }
-            let mut out = Vec::new();
-            t.drain_into(BlockId(0), &mut out);
-            assert_eq!(out.len(), 6, "round {round}");
         }
     }
 }

@@ -81,10 +81,7 @@ pub struct Disk {
     busy: SimDuration,
     completed: u64,
     errors: u64,
-    demand_response: Tally,
-    prefetch_response: Tally,
     response: Tally,
-    queue_delay: Tally,
     queue_len: TimeWeighted,
 }
 
@@ -104,10 +101,7 @@ impl Disk {
             busy: SimDuration::ZERO,
             completed: 0,
             errors: 0,
-            demand_response: Tally::new(),
-            prefetch_response: Tally::new(),
             response: Tally::new(),
-            queue_delay: Tally::new(),
             queue_len: TimeWeighted::new(SimTime::ZERO, 0.0),
         }
     }
@@ -166,19 +160,10 @@ impl Disk {
         if done.status.is_err() {
             self.errors += 1;
         }
-        let response = now.saturating_since(done.req.submitted);
-        self.response.record(response);
-        match done.req.kind {
-            FetchKind::Demand => self.demand_response.record(response),
-            FetchKind::Prefetch => self.prefetch_response.record(response),
-            // Scrub reads and repair rewrites are maintenance traffic;
-            // they occupy the device but stay out of the paper's
-            // demand/prefetch response split.
-            FetchKind::Scrub | FetchKind::Repair => {}
-        }
+        self.response
+            .record(now.saturating_since(done.req.submitted));
         let next = self.dequeue().map(|req| {
             self.queue_len.add(now, -1.0);
-            self.queue_delay.record(now.saturating_since(req.submitted));
             let completion = self.start(req, now);
             (req, completion)
         });
@@ -288,22 +273,6 @@ impl Disk {
         &self.response
     }
 
-    /// Response-time distribution of demand fetches only.
-    pub fn demand_response(&self) -> &Tally {
-        &self.demand_response
-    }
-
-    /// Response-time distribution of prefetches only.
-    pub fn prefetch_response(&self) -> &Tally {
-        &self.prefetch_response
-    }
-
-    /// Distribution of time spent queued before service began (queued
-    /// requests only; immediate starts contribute nothing).
-    pub fn queue_delay(&self) -> &Tally {
-        &self.queue_delay
-    }
-
     /// Fraction of `[0, now]` the device was busy.
     pub fn utilization(&self, now: SimTime) -> f64 {
         let span = now.as_nanos();
@@ -408,18 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn kinds_tracked_separately() {
-        let mut d = disk(Discipline::Fifo);
-        d.submit(req(0, FetchKind::Demand, 0)).unwrap();
-        d.complete(t(30));
-        d.submit(req(100, FetchKind::Prefetch, 1)).unwrap();
-        d.complete(t(130));
-        assert_eq!(d.demand_response().count(), 1);
-        assert_eq!(d.prefetch_response().count(), 1);
-        assert!((d.demand_response().mean_millis() - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn utilization_accumulates() {
         let mut d = disk(Discipline::Fifo);
         d.submit(req(0, FetchKind::Demand, 0)).unwrap();
@@ -429,17 +386,6 @@ mod tests {
         // Busy 60ms out of 100ms.
         assert!((d.utilization(t(100)) - 0.6).abs() < 1e-9);
         assert_eq!(d.busy_time(), SimDuration::from_millis(60));
-    }
-
-    #[test]
-    fn queue_delay_recorded_for_waiters_only() {
-        let mut d = disk(Discipline::Fifo);
-        d.submit(req(0, FetchKind::Demand, 0)).unwrap();
-        d.submit(req(10, FetchKind::Demand, 1)).unwrap();
-        d.complete(t(30));
-        // Block 1 waited from 10 to 30.
-        assert_eq!(d.queue_delay().count(), 1);
-        assert!((d.queue_delay().mean_millis() - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -474,8 +420,6 @@ mod tests {
         let (nreq, ncomp) = next.unwrap();
         assert_eq!(nreq.block, BlockId(1));
         assert_eq!(ncomp, t(60), "queued same-instant arrival double-delayed");
-        // It never actually waited, so its queue delay is zero.
-        assert!((d.queue_delay().mean_millis() - 0.0).abs() < 1e-9);
     }
 
     #[test]

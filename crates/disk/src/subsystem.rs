@@ -239,15 +239,6 @@ impl DiskSubsystem {
         t
     }
 
-    /// Merged queue-delay distribution across devices.
-    pub fn queue_delay(&self) -> Tally {
-        let mut t = Tally::new();
-        for d in &self.disks {
-            t.merge(d.queue_delay());
-        }
-        t
-    }
-
     /// Mean utilization across devices over `[0, now]`.
     pub fn mean_utilization(&self, now: SimTime) -> f64 {
         if self.disks.is_empty() {

@@ -41,7 +41,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod timeline;
 
 pub use engine::{
     run, run_observed, run_until, run_with_stats, EngineStats, Model, ObservedEnd, RunOutcome,
@@ -52,4 +51,3 @@ pub use resource::{Admission, FifoServer, SimLock};
 pub use rng::Rng;
 pub use stats::{Ratio, Sampled, Tally, TimeWeighted};
 pub use time::{SimDuration, SimTime};
-pub use timeline::Timeline;

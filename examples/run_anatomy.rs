@@ -7,10 +7,37 @@
 //! cargo run --release --example run_anatomy [pattern] [sync]
 //! ```
 
-use rapid_transit::core::experiment::run_experiment;
-use rapid_transit::core::{ExperimentConfig, PrefetchConfig};
+use rapid_transit::core::experiment::run_experiment_observed;
+use rapid_transit::core::obs::Series;
+use rapid_transit::core::{ExperimentConfig, ObsConfig, PrefetchConfig};
 use rapid_transit::patterns::{AccessPattern, SyncStyle};
-use rapid_transit::sim::SimTime;
+use rapid_transit::sim::{SimDuration, SimTime};
+
+const W: usize = 72;
+
+/// One character per column, each the gauge's value at the column's end,
+/// scaled to the window's maximum.
+fn sparkline(series: &Series, end: SimTime) -> String {
+    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let span = end.as_nanos();
+    let samples: Vec<f64> = (1..=W as u64)
+        .map(|i| {
+            let t = SimTime::from_nanos(span * i / W as u64);
+            match series.points.partition_point(|&(at, _)| at <= t) {
+                0 => 0.0,
+                n => series.points[n - 1].1,
+            }
+        })
+        .collect();
+    let max = samples.iter().copied().fold(0.0, f64::max);
+    samples
+        .iter()
+        .map(|&v| {
+            let level = if max == 0.0 { 0.0 } else { v / max };
+            LEVELS[(level * (LEVELS.len() - 1) as f64).round() as usize]
+        })
+        .collect()
+}
 
 fn main() {
     let pattern = std::env::args()
@@ -27,11 +54,24 @@ fn main() {
     let mut cfg = ExperimentConfig::paper_default(pattern, sync);
     cfg.prefetch = PrefetchConfig::paper();
     println!("Run anatomy — {}\n", cfg.label());
-    let m = run_experiment(&cfg);
-
-    let start = SimTime::ZERO;
-    let end = start + m.total_time;
-    const W: usize = 72;
+    // Sample the gauges every simulated millisecond; keep no events.
+    let obs = ObsConfig {
+        ring_capacity: 1,
+        sample_every: Some(SimDuration::from_millis(1)),
+    };
+    let (m, data) = run_experiment_observed(&cfg, obs);
+    let end = SimTime::ZERO + m.total_time;
+    let gauge = |name: &str| {
+        data.series
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("observed runs record the {name:?} gauge"))
+    };
+    let (prefetched, in_flight, barrier) = (
+        gauge("prefetched unused"),
+        gauge("in-flight I/O"),
+        gauge("barrier waiting"),
+    );
 
     println!(
         "time axis: 0 .. {:.1} ms  ({} columns of {:.1} ms)\n",
@@ -42,18 +82,18 @@ fn main() {
     println!(
         "prefetched-but-unused blocks (cap {}):\n  {}  max {:.0}",
         cfg.prefetch.global_cap_per_proc as u32 * cfg.procs as u32,
-        m.tl_prefetched.sparkline(start, end, W),
-        m.tl_prefetched.max(),
+        sparkline(prefetched, end),
+        prefetched.max(),
     );
     println!(
         "\ndisk requests in flight:\n  {}  max {:.0}",
-        m.tl_outstanding_io.sparkline(start, end, W),
-        m.tl_outstanding_io.max(),
+        sparkline(in_flight, end),
+        in_flight.max(),
     );
     println!(
         "\nprocesses blocked at the barrier:\n  {}  max {:.0}",
-        m.tl_barrier.sparkline(start, end, W),
-        m.tl_barrier.max(),
+        sparkline(barrier, end),
+        barrier.max(),
     );
 
     println!(
