@@ -1,6 +1,5 @@
-//! Microbenchmarks for the hot engine primitives behind every run: the
-//! slab event queue (schedule / pop / cancel) and world snapshot/clone
-//! (the cost of forking a warmed-up run).
+//! Microbenchmarks for the hot engine primitive behind every run: the
+//! slab event queue (schedule / pop / cancel).
 //!
 //! Run with `cargo bench --bench engine`. The vendored criterion shim
 //! prints mean time per iteration; there is no statistical machinery, so
@@ -8,9 +7,6 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion};
 
-use rapid_transit::core::experiment::RunHandle;
-use rapid_transit::core::ExperimentConfig;
-use rapid_transit::patterns::{AccessPattern, SyncStyle};
 use rapid_transit::sim::{EventQueue, SimDuration, SimTime};
 
 /// Events pushed per queue iteration — enough to exercise heap reshuffles
@@ -58,41 +54,9 @@ fn queue_cancel(b: &mut Bencher) {
     );
 }
 
-/// A small but non-trivial machine for the clone benches: 4 procs, 4
-/// disks, prefetching on, enough reads that the warmed world holds live
-/// cache state, armed events, and per-proc predictors.
-fn bench_experiment() -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::paper_default(
-        AccessPattern::GlobalWholeFile,
-        SyncStyle::BlocksPerProc(8),
-    );
-    cfg.procs = 4;
-    cfg.disks = 4;
-    cfg.workload.procs = 4;
-    cfg.workload.file_blocks = 400;
-    cfg.workload.total_reads = 400;
-    cfg
-}
-
-fn world_clone(b: &mut Bencher) {
-    let cfg = bench_experiment();
-    let mut warm = RunHandle::start(&cfg);
-    warm.advance_to_reads(200);
-    b.iter(|| warm.fork().events_fired());
-}
-
-fn world_fork_and_finish(b: &mut Bencher) {
-    let cfg = bench_experiment();
-    let mut warm = RunHandle::start(&cfg);
-    warm.advance_to_reads(200);
-    b.iter(|| warm.fork().finish().disk_ops);
-}
-
 fn engine_benches(c: &mut Criterion) {
     c.bench_function("queue/schedule_pop_256", queue_schedule_pop);
     c.bench_function("queue/cancel_half_256", queue_cancel);
-    c.bench_function("world/clone_warm", world_clone);
-    c.bench_function("world/fork_and_finish", world_fork_and_finish);
 }
 
 criterion_group!(benches, engine_benches);

@@ -56,18 +56,6 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// The paper's non-prefetching cache: 1 buffer per node.
-    pub fn paper_no_prefetch(procs: u16) -> Self {
-        PoolConfig {
-            procs,
-            demand_per_proc: 1,
-            prefetch_per_proc: 0,
-            global_prefetch_cap: 0,
-            replacement: Replacement::RuSet,
-            evict_unused_prefetch: false,
-        }
-    }
-
     /// The paper's prefetching cache: 1 demand + 3 prefetch buffers per
     /// node, global unused-prefetch cap of 3 per node.
     pub fn paper_prefetch(procs: u16) -> Self {
@@ -173,10 +161,6 @@ pub struct CacheStats {
 const NO_BUFFER: u32 = u32::MAX;
 
 /// The shared block cache.
-///
-/// `Clone` snapshots the entire pool — buffers, index, partitions, and
-/// statistics — so a warmed-up cache can be forked for base/variant runs.
-#[derive(Clone)]
 pub struct BufferPool {
     config: PoolConfig,
     buffers: Vec<Buffer>,
@@ -1133,7 +1117,14 @@ mod tests {
         p.commit_prefetch(buf, BlockId(12), t(70));
         check(&p, 3);
         // No prefetch partition at all reads as empty, like the scan.
-        let none = BufferPool::new(PoolConfig::paper_no_prefetch(2));
+        let none = BufferPool::new(PoolConfig {
+            procs: 2,
+            demand_per_proc: 1,
+            prefetch_per_proc: 0,
+            global_prefetch_cap: 0,
+            replacement: Replacement::RuSet,
+            evict_unused_prefetch: false,
+        });
         assert_eq!(none.prefetch_occupancy(), 0.0);
         assert_eq!(none.pressure().occupancy(), 0.0);
     }

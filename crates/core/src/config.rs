@@ -5,7 +5,7 @@ use crate::admission::AdmissionConfig;
 use crate::faults::FaultConfig;
 use crate::integrity::IntegrityConfig;
 use rt_cache::Replacement;
-use rt_disk::{Discipline, FaultKind, Service};
+use rt_disk::{Discipline, FaultKind};
 use rt_fs::Striping;
 use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
 use rt_sim::SimDuration;
@@ -156,8 +156,6 @@ pub struct ExperimentConfig {
     pub procs: u16,
     /// Disk count (one per node in the paper).
     pub disks: u16,
-    /// Disk service model (the paper: fixed 30 ms).
-    pub service: Service,
     /// Disk queue discipline (the paper: FCFS; demand-priority is an
     /// extension ablation).
     pub discipline: Discipline,
@@ -418,7 +416,6 @@ impl ExperimentConfig {
         ExperimentConfig {
             procs: 20,
             disks: 20,
-            service: Service::paper(),
             discipline: Discipline::Fifo,
             striping: Striping::Interleaved,
             workload: WorkloadParams::paper(),

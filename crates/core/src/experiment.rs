@@ -1,9 +1,9 @@
 //! Experiment execution: single runs, prefetch-vs-base pairs, the paper's
-//! full grid, a thread-parallel sweep runner, and forkable run handles
-//! that let identical-configuration replicas share a warmed-up prefix.
+//! full grid, a thread-parallel sweep runner, and a run handle that splits
+//! set-up from the event loop.
 
 use rt_patterns::{AccessPattern, SyncStyle};
-use rt_sim::{run, run_until, run_with_stats, Scheduler};
+use rt_sim::{run, run_with_stats, Scheduler};
 
 pub use crate::config::ExperimentConfig;
 
@@ -192,20 +192,10 @@ fn collect_metrics(world: &mut World, end_time: rt_sim::SimTime) -> RunMetrics {
     }
 }
 
-/// A pausable, forkable experiment: the world together with its scheduler.
-///
-/// The straight-line runners above build a world, pump it dry, and collect
-/// metrics. A `RunHandle` exposes the intermediate states: advance to a
-/// fork point, [`fork`](RunHandle::fork) as many independent continuations
-/// as needed (each clone carries the full machine state *and* the pending
-/// event set), and [`finish`](RunHandle::finish) each one. A fork resumed
-/// to completion produces bit-identical metrics to an uninterrupted run of
-/// the same configuration — the engine dispatches the exact same event
-/// sequence either way (see the `fork_*` tests and the property test in
-/// `tests/prop_experiments.rs`).
-///
-/// Identical-configuration replicas (sweep grids, perf reps) use this to
-/// pay the warm-up prefix once instead of once per replica.
+/// An experiment whose world is built and bootstrapped by
+/// [`start`](RunHandle::start) and run to completion by
+/// [`finish`](RunHandle::finish), so callers can time set-up and the event
+/// loop separately. The metrics equal [`run_experiment`]'s.
 pub struct RunHandle {
     world: World,
     sched: Scheduler<Ev>,
@@ -230,40 +220,6 @@ impl RunHandle {
         RunHandle { world, sched }
     }
 
-    /// Advance until at least `reads` reads have completed (or the run
-    /// drains first). Returns the number of reads actually completed.
-    /// Stopping points are exact event boundaries, so forks taken here
-    /// resume deterministically.
-    pub fn advance_to_reads(&mut self, reads: u64) -> u64 {
-        let out = run_until(&mut self.world, &mut self.sched, MAX_EVENTS, |w| {
-            w.reads_done() >= reads
-        });
-        assert!(
-            !out.budget_exhausted,
-            "simulation exceeded the event budget"
-        );
-        self.world.reads_done()
-    }
-
-    /// Reads completed so far.
-    pub fn reads_done(&self) -> u64 {
-        self.world.reads_done()
-    }
-
-    /// Events dispatched so far.
-    pub fn events_fired(&self) -> u64 {
-        self.sched.events_fired()
-    }
-
-    /// Snapshot the run: a deep copy of the machine and the pending event
-    /// set. The fork and the original evolve independently from here.
-    pub fn fork(&self) -> Self {
-        RunHandle {
-            world: self.world.clone(),
-            sched: self.sched.clone(),
-        }
-    }
-
     /// Run to completion and collect the metrics.
     pub fn finish(mut self) -> RunMetrics {
         let out = run(&mut self.world, &mut self.sched, MAX_EVENTS);
@@ -277,27 +233,6 @@ impl RunHandle {
         );
         collect_metrics(&mut self.world, out.end_time)
     }
-}
-
-/// Run `reps` identical copies of `cfg`, sharing one warmed-up prefix:
-/// a single run is advanced to `warm_fraction` of its reads, forked per
-/// replica, and each fork finished independently (the warm handle itself
-/// serves as the last replica). Every returned [`RunMetrics`] is
-/// bit-identical to an uninterrupted [`run_experiment`] of `cfg` — the
-/// fork only avoids recomputing the shared prefix.
-pub fn run_replicas_forked(
-    cfg: &ExperimentConfig,
-    reps: usize,
-    warm_fraction: f64,
-) -> Vec<RunMetrics> {
-    assert!(reps > 0);
-    assert!((0.0..=1.0).contains(&warm_fraction));
-    let target = (cfg.workload.total_reads as f64 * warm_fraction) as u64;
-    let mut warm = RunHandle::start(cfg);
-    warm.advance_to_reads(target);
-    let mut out: Vec<RunMetrics> = (1..reps).map(|_| warm.fork().finish()).collect();
-    out.push(warm.finish());
-    out
 }
 
 /// Run the same configuration with prefetching off and on (the paper's
@@ -403,57 +338,6 @@ mod tests {
         assert!(!lw_portion);
         for c in &grid {
             c.validate().unwrap();
-        }
-    }
-
-    /// The fields that pin a run bit-for-bit (simulated time is exact).
-    fn fingerprint(m: &RunMetrics) -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            m.total_time.as_nanos(),
-            m.reads.total().as_nanos(),
-            m.ready_hits,
-            m.unready_hits,
-            m.misses,
-            m.disk_ops,
-            m.prefetches,
-        )
-    }
-
-    #[test]
-    fn forked_run_matches_uninterrupted() {
-        let mut cfg = small(AccessPattern::GlobalWholeFile, SyncStyle::BlocksPerProc(10));
-        cfg.prefetch = PrefetchConfig::paper();
-        let straight = run_experiment(&cfg);
-
-        let mut warm = RunHandle::start(&cfg);
-        let reached = warm.advance_to_reads(100);
-        assert!(reached >= 100, "fork point not reached");
-        let fork = warm.fork();
-        assert_eq!(fork.events_fired(), warm.events_fired());
-
-        // Both the fork and the original resume to the identical run.
-        assert_eq!(fingerprint(&fork.finish()), fingerprint(&straight));
-        assert_eq!(fingerprint(&warm.finish()), fingerprint(&straight));
-    }
-
-    #[test]
-    fn fork_at_time_zero_matches() {
-        let cfg = small(AccessPattern::LocalFixedPortions, SyncStyle::EachPortion);
-        let straight = run_experiment(&cfg);
-        let warm = RunHandle::start(&cfg);
-        let fork = warm.fork();
-        assert_eq!(fingerprint(&fork.finish()), fingerprint(&straight));
-    }
-
-    #[test]
-    fn forked_replicas_are_identical_to_straight_runs() {
-        let mut cfg = small(AccessPattern::GlobalRandomPortions, SyncStyle::None);
-        cfg.prefetch = PrefetchConfig::paper();
-        let straight = run_experiment(&cfg);
-        let reps = run_replicas_forked(&cfg, 3, 0.5);
-        assert_eq!(reps.len(), 3);
-        for m in &reps {
-            assert_eq!(fingerprint(m), fingerprint(&straight));
         }
     }
 

@@ -55,7 +55,7 @@ pub use admission::AdmissionConfig;
 pub use config::{ConfigError, CostModel, ExperimentConfig, PolicyKind, PrefetchConfig};
 pub use experiment::{
     paper_grid, run_experiment, run_experiment_observed, run_experiment_traced, run_pair,
-    run_pairs_parallel, run_replicas_forked, RunHandle,
+    run_pairs_parallel, RunHandle,
 };
 pub use faults::{
     parse_fault_spec, parse_fault_specs, DegradeConfig, FaultConfig, FaultSpecError, RetryPolicy,

@@ -144,64 +144,6 @@ pub fn quantile_table(rows: &[(&str, &RunMetrics)]) -> Table {
     t
 }
 
-/// Tail-tolerance table: one row per labeled run, showing the hedging,
-/// retry-budget, and circuit-breaker counters — hedges launched and how
-/// they resolved (win, wasted, cancelled), retries the budget denied and
-/// tokens it spent, and breaker open/probe transitions.
-pub fn tail_table(rows: &[(&str, &RunMetrics)]) -> Table {
-    let mut t = Table::new(&[
-        "run", "hedges", "wins", "wasted", "cancels", "denied", "spent", "opens", "probes",
-    ]);
-    for (label, m) in rows {
-        let c = &m.tail;
-        t.row(&[
-            label.to_string(),
-            c.hedges_launched.to_string(),
-            c.hedge_wins.to_string(),
-            c.hedge_wasted.to_string(),
-            c.hedge_cancels.to_string(),
-            c.retries_denied.to_string(),
-            c.budget_spent.to_string(),
-            c.breaker_opens.to_string(),
-            c.probe_successes.to_string(),
-        ]);
-    }
-    t
-}
-
-/// Crash-fault table: one row per labeled run, showing the node-crash
-/// counters — injections, rejoins, lost reads, what was reclaimed from
-/// the victims (locks, pins, waiter slots), orphaned I/Os absorbed as
-/// fills, and prefetches survivors issued on a dead node's behalf.
-pub fn crash_table(rows: &[(&str, &RunMetrics)]) -> Table {
-    let mut t = Table::new(&[
-        "run",
-        "crashes",
-        "rejoins",
-        "lost reads",
-        "locks",
-        "pins",
-        "waiters",
-        "orphaned io",
-        "failover pf",
-    ]);
-    for (label, m) in rows {
-        let c = &m.crash;
-        t.row(&[
-            label.to_string(),
-            c.crashes.to_string(),
-            c.rejoins.to_string(),
-            c.lost_reads.to_string(),
-            c.reclaimed_locks.to_string(),
-            c.reclaimed_pins.to_string(),
-            c.reclaimed_waiters.to_string(),
-            c.orphaned_ios.to_string(),
-            c.redistributed_prefetches.to_string(),
-        ]);
-    }
-    t
-}
-
 /// Format a fraction as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -247,62 +189,6 @@ mod tests {
     #[test]
     fn pct_format() {
         assert_eq!(pct(0.4821), "48.2%");
-    }
-
-    #[test]
-    fn crash_table_from_run() {
-        use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
-        use rt_sim::SimTime;
-        let mut cfg =
-            crate::ExperimentConfig::paper_default(AccessPattern::GlobalWholeFile, SyncStyle::None);
-        cfg.procs = 4;
-        cfg.disks = 4;
-        cfg.workload = WorkloadParams {
-            procs: 4,
-            file_blocks: 100,
-            total_reads: 100,
-            ..WorkloadParams::paper()
-        };
-        cfg.faults.crashes.push(crate::faults::CrashSpec {
-            node: 1,
-            at: SimTime::from_nanos(20_000_000),
-            rejoin: None,
-        });
-        let m = crate::experiment::run_experiment(&cfg);
-        assert_eq!(m.crash.crashes, 1);
-        let s = crash_table(&[("one-crash", &m)]).render();
-        assert!(s.contains("crashes"));
-        assert!(s.contains("failover pf"));
-        let data = s.lines().nth(2).unwrap();
-        assert!(data.starts_with(" one-crash") || data.contains("one-crash"));
-        assert!(data.contains('1'), "{data}");
-    }
-
-    #[test]
-    fn tail_table_from_run() {
-        use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
-        use rt_sim::SimDuration;
-        let mut cfg =
-            crate::ExperimentConfig::paper_default(AccessPattern::GlobalWholeFile, SyncStyle::None);
-        cfg.procs = 4;
-        cfg.disks = 4;
-        cfg.workload = WorkloadParams {
-            procs: 4,
-            file_blocks: 100,
-            total_reads: 100,
-            ..WorkloadParams::paper()
-        };
-        cfg.faults.replicas = 1;
-        cfg.faults.retry.timeout = Some(SimDuration::from_millis(150));
-        cfg.faults.hedge.delay = Some(SimDuration::from_millis(40));
-        crate::faults::parse_fault_spec(&mut cfg.faults.plan, "straggler:0:x8").unwrap();
-        let m = crate::experiment::run_experiment(&cfg);
-        assert!(m.tail.hedges_launched > 0);
-        let s = tail_table(&[("straggled", &m)]).render();
-        assert!(s.contains("hedges"));
-        assert!(s.contains("straggled"));
-        let data = s.lines().nth(2).unwrap();
-        assert!(data.contains(&m.tail.hedges_launched.to_string()), "{data}");
     }
 
     #[test]

@@ -113,7 +113,6 @@ enum PState {
 }
 
 /// Per-processor state.
-#[derive(Clone)]
 struct Proc {
     id: ProcId,
     state: PState,
@@ -220,7 +219,7 @@ enum SyncReason {
 }
 
 /// Raw measurement accumulators for one run.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct Recorder {
     pub reads: Tally,
     /// Full read-time sample reservoir (for p50/p95/p99 quantiles; the
@@ -313,7 +312,6 @@ pub(crate) type BlockMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockHasher
 pub(crate) type BlockSet = HashSet<BlockId, BuildHasherDefault<BlockHasher>>;
 
 /// In-flight fault bookkeeping for one block's demand fetch.
-#[derive(Clone)]
 pub(crate) struct PendingIo {
     /// Resubmissions so far (selects the replica and the backoff).
     pub attempts: u32,
@@ -350,7 +348,6 @@ impl Default for PendingIo {
 /// lives in each process's state ([`PState::Crashed`]); this holds the
 /// per-node crash instants (for dead-interval annotation) and the
 /// reclamation counters.
-#[derive(Clone)]
 pub(crate) struct CrashState {
     /// When each node last crashed (meaningful while it is dead).
     pub crashed_at: Vec<SimTime>,
@@ -384,7 +381,6 @@ impl CrashState {
 /// Fault-layer state of one run; allocated only when the configuration's
 /// fault scenario is active, so fault-free runs pay nothing on the read
 /// path beyond an `Option` check.
-#[derive(Clone)]
 pub(crate) struct FaultState {
     /// Per-disk error/latency EWMAs driving prefetch degradation.
     pub health: HealthTracker,
@@ -399,7 +395,6 @@ pub(crate) struct FaultState {
 
 /// One in-flight checksum verification (or replica re-fetch) of a cache
 /// fill. Keyed by block in [`IntegrityState::verifying`].
-#[derive(Clone)]
 pub(crate) struct VerifyState {
     /// `Some(corrupt)` while a checksum check is scheduled — the flag the
     /// pending [`Ev::VerifyDone`] will read. `None` while a replica
@@ -422,7 +417,6 @@ pub(crate) struct VerifyState {
 
 /// One in-flight scrub check: a verify-only read chain hunting for a
 /// clean copy of a block the scrubber found corrupt.
-#[derive(Clone)]
 pub(crate) struct ScrubCheck {
     /// The replica the outstanding scrub read targets.
     pub replica: u16,
@@ -433,7 +427,6 @@ pub(crate) struct ScrubCheck {
 }
 
 /// Per-node scrub daemon state: a strided cursor over the file.
-#[derive(Clone)]
 pub(crate) struct ScrubProc {
     /// Next block this node will consider (node-strided: node `p` scans
     /// `p, p + procs, p + 2·procs, …`, wrapping per pass).
@@ -451,7 +444,6 @@ pub(crate) struct ScrubProc {
 /// configuration schedules corrupt windows, forces verification, or runs
 /// the scrubber — default runs pay nothing beyond an `Option` check and
 /// their event stream is untouched.
-#[derive(Clone)]
 pub(crate) struct IntegrityState {
     pub cfg: crate::integrity::IntegrityConfig,
     /// Verify fills at all: forced on whenever the fault plan schedules a
@@ -506,15 +498,8 @@ impl IntegrityState {
     }
 }
 
-/// One experiment run: the whole machine plus its workload.
-///
-/// `Clone` snapshots the entire machine mid-run — cache, file system,
-/// disks, processes, predictors, waiters, and statistics. Pair and sweep
-/// runners use it to warm one world up to a fork point and then branch
-/// independent continuations from the shared prefix (clone the paired
-/// [`rt_sim::Scheduler`] alongside; see `experiment::RunHandle`). The
-/// workload is shared by `Arc`, not copied.
-#[derive(Clone)]
+/// One experiment run: the whole machine plus its workload. The workload
+/// is shared by `Arc`, not copied.
 pub struct World {
     cfg: ExperimentConfig,
     pool: BufferPool,
@@ -632,12 +617,7 @@ impl World {
         } else {
             cfg.discipline
         };
-        let mut fs = FileSystem::new(
-            cfg.disks,
-            cfg.service.clone(),
-            discipline,
-            &root.split(0x6469736b),
-        );
+        let mut fs = FileSystem::new(cfg.disks, discipline);
         let file = fs
             .create_replicated("workload", file_blocks, cfg.striping, cfg.faults.replicas)
             .expect("fresh file system");

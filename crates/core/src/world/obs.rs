@@ -64,7 +64,6 @@ const S_BARRIER: usize = 8;
 const SERIES_BASE: usize = 9;
 
 /// Recording state of an observed world.
-#[derive(Clone)]
 pub(crate) struct ObsState {
     pub ring: Ring,
     pub series: Vec<Series>,

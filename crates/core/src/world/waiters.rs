@@ -26,7 +26,6 @@ fn unlink(link: u16) -> usize {
 }
 
 /// Block-number → waiting-processes table.
-#[derive(Clone)]
 pub(crate) struct WaiterTable {
     /// Per block: `[head, tail]` of its queue, both `NONE` when empty.
     ends: Vec<[u16; 2]>,

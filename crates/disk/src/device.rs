@@ -10,11 +10,13 @@
 
 use std::collections::VecDeque;
 
-use rt_sim::{Rng, SimDuration, SimTime, Tally, TimeWeighted};
+use rt_sim::{SimDuration, SimTime, Tally, TimeWeighted};
 
 use crate::fault::{DeviceFaults, DiskFault};
 use crate::request::{DiskRequest, FetchKind};
-use crate::service::{Service, ServiceModel};
+
+/// The paper's disk model: every single-block access costs a fixed 30 ms.
+pub const ACCESS_TIME: SimDuration = SimDuration::from_millis(30);
 
 /// Order in which queued requests are dispatched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -64,14 +66,12 @@ pub struct Finished {
     pub corrupt: bool,
 }
 
-/// One disk: a queue, a head, and the response-time accounting the paper
+/// One disk: a queue and the response-time accounting the paper
 /// uses as its disk-contention metric ("the time from the entry of the
 /// request on the queue of the appropriate disk to the completion of the
 /// I/O").
 #[derive(Clone, Debug)]
 pub struct Disk {
-    service: Service,
-    rng: Rng,
     discipline: Discipline,
     faults: Option<DeviceFaults>,
     queue_limit: Option<usize>,
@@ -86,12 +86,9 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// A new idle disk with the given service model, queue discipline, and
-    /// its own random stream (used only by stochastic service models).
-    pub fn new(service: Service, discipline: Discipline, rng: Rng) -> Self {
+    /// A new idle disk with the given queue discipline.
+    pub fn new(discipline: Discipline) -> Self {
         Disk {
-            service,
-            rng,
             discipline,
             faults: None,
             queue_limit: None,
@@ -199,14 +196,12 @@ impl Disk {
 
     /// Begin servicing `req` at `start`; returns its completion time.
     ///
-    /// The fault-free service time is drawn first, then the fault
-    /// schedule (if any) adjusts it and decides the outcome — so a disk
-    /// with no faults attached draws exactly the baseline sequence.
+    /// The fault schedule (if any) adjusts the fixed [`ACCESS_TIME`] and
+    /// decides the outcome.
     fn start(&mut self, req: DiskRequest, start: SimTime) -> SimTime {
-        let base = self.service.service_time(req.physical, &mut self.rng);
         let applied = match &mut self.faults {
-            Some(f) => f.apply(start, base),
-            None => crate::fault::Applied::clean(base),
+            Some(f) => f.apply(start, ACCESS_TIME),
+            None => crate::fault::Applied::clean(ACCESS_TIME),
         };
         self.busy += applied.service;
         let completion = start + applied.service;
@@ -283,11 +278,6 @@ impl Disk {
         }
     }
 
-    /// Aggregate busy time (sum of service times started so far).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
     /// Time-averaged queue length over `[0, now]`.
     pub fn avg_queue_len(&self, now: SimTime) -> f64 {
         self.queue_len.average(now)
@@ -298,11 +288,11 @@ impl Disk {
 mod tests {
     use super::*;
     use crate::request::{BlockId, ProcId};
+    use rt_sim::Rng;
 
     fn req(at_ms: u64, kind: FetchKind, block: u32) -> DiskRequest {
         DiskRequest {
             block: BlockId(block),
-            physical: block,
             kind,
             initiator: ProcId(0),
             submitted: SimTime::ZERO + SimDuration::from_millis(at_ms),
@@ -314,7 +304,7 @@ mod tests {
     }
 
     fn disk(d: Discipline) -> Disk {
-        Disk::new(Service::paper(), d, Rng::seeded(1))
+        Disk::new(d)
     }
 
     #[test]
@@ -385,7 +375,6 @@ mod tests {
         d.complete(t(100));
         // Busy 60ms out of 100ms.
         assert!((d.utilization(t(100)) - 0.6).abs() < 1e-9);
-        assert_eq!(d.busy_time(), SimDuration::from_millis(60));
     }
 
     #[test]

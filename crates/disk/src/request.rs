@@ -62,8 +62,6 @@ pub enum FetchKind {
 pub struct DiskRequest {
     /// The file block being fetched.
     pub block: BlockId,
-    /// Physical block offset on the target disk (after interleaving).
-    pub physical: u32,
     /// Demand fetch or prefetch.
     pub kind: FetchKind,
     /// The node that issued the request.

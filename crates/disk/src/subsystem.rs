@@ -6,7 +6,6 @@ use rt_sim::{Rng, SimDuration, SimTime, Tally};
 use crate::device::{Discipline, Disk, QueueFull};
 use crate::fault::{DeviceFaults, DiskFault, FaultPlan};
 use crate::request::{BlockId, DiskId, DiskRequest, FetchKind, ProcId};
-use crate::service::Service;
 use crate::striping::{FileLayout, Layout};
 
 /// A newly started disk request the caller must schedule completion for.
@@ -49,53 +48,28 @@ pub struct Completed {
 /// The testbed studies one parallel computation reading one interleaved
 /// file, so a single layout suffices; the subsystem still exposes
 /// per-device statistics to observe load imbalance.
-///
-/// `Clone` snapshots every device — queues, in-service requests, fault
-/// state, and statistics — for world forking.
-#[derive(Clone)]
 pub struct DiskSubsystem {
     disks: Vec<Disk>,
     layout: FileLayout,
 }
 
 impl DiskSubsystem {
-    /// Build `disk_count` devices sharing a `service` model and queue
-    /// `discipline` (each with an independent random stream derived from
-    /// `rng`), with `layout` mapping file blocks onto them.
-    pub fn new(
-        disk_count: u16,
-        service: Service,
-        discipline: Discipline,
-        layout: FileLayout,
-        rng: &Rng,
-    ) -> Self {
+    /// Build `disk_count` devices sharing a queue `discipline`, with
+    /// `layout` mapping file blocks onto them.
+    pub fn new(disk_count: u16, discipline: Discipline, layout: FileLayout) -> Self {
         assert!(disk_count > 0, "need at least one disk");
         assert!(
             layout.disk_count() <= disk_count,
             "layout spans more disks than exist"
         );
-        let disks = (0..disk_count)
-            .map(|i| {
-                Disk::new(
-                    service.clone(),
-                    discipline,
-                    rng.split(0x6469_736b_0000 + i as u64),
-                )
-            })
-            .collect();
+        let disks = (0..disk_count).map(|_| Disk::new(discipline)).collect();
         DiskSubsystem { disks, layout }
     }
 
     /// The paper's subsystem: 20 disks, 30 ms fixed latency, FCFS queues,
     /// round-robin interleave.
-    pub fn paper(rng: &Rng) -> Self {
-        DiskSubsystem::new(
-            20,
-            Service::paper(),
-            Discipline::Fifo,
-            FileLayout::paper(),
-            rng,
-        )
+    pub fn paper() -> Self {
+        DiskSubsystem::new(20, Discipline::Fifo, FileLayout::paper())
     }
 
     /// Submit a read of `block` at time `now`. Returns `Ok(Some)` when the
@@ -126,7 +100,6 @@ impl DiskSubsystem {
     ) -> Result<Option<Started>, QueueFull> {
         let req = DiskRequest {
             block,
-            physical: placement.physical,
             kind,
             initiator,
             submitted: now,
@@ -246,11 +219,6 @@ impl DiskSubsystem {
         }
         self.disks.iter().map(|d| d.utilization(now)).sum::<f64>() / self.disks.len() as f64
     }
-
-    /// Aggregate busy time across devices.
-    pub fn total_busy(&self) -> SimDuration {
-        self.disks.iter().map(|d| d.busy_time()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -258,13 +226,7 @@ mod tests {
     use super::*;
 
     fn subsystem(disks: u16) -> DiskSubsystem {
-        DiskSubsystem::new(
-            disks,
-            Service::paper(),
-            Discipline::Fifo,
-            FileLayout::interleaved(disks),
-            &Rng::seeded(7),
-        )
+        DiskSubsystem::new(disks, Discipline::Fifo, FileLayout::interleaved(disks))
     }
 
     fn t(ms: u64) -> SimTime {
@@ -385,24 +347,18 @@ mod tests {
 
     #[test]
     fn paper_subsystem_shape() {
-        let s = DiskSubsystem::paper(&Rng::seeded(1));
+        let s = DiskSubsystem::paper();
         assert_eq!(s.disk_count(), 20);
     }
 
     #[test]
     #[should_panic(expected = "more disks than exist")]
     fn layout_wider_than_subsystem_rejected() {
-        let _ = DiskSubsystem::new(
-            2,
-            Service::paper(),
-            Discipline::Fifo,
-            FileLayout::interleaved(4),
-            &Rng::seeded(1),
-        );
+        let _ = DiskSubsystem::new(2, Discipline::Fifo, FileLayout::interleaved(4));
     }
 
     #[test]
-    fn utilization_and_busy_aggregate() {
+    fn utilization_aggregates() {
         let mut s = subsystem(2);
         s.read(SimTime::ZERO, BlockId(0), FetchKind::Demand, ProcId(0))
             .unwrap();
@@ -410,6 +366,5 @@ mod tests {
         let now = t(60);
         // Disk 0 busy 30/60, disk 1 idle -> mean 0.25.
         assert!((s.mean_utilization(now) - 0.25).abs() < 1e-9);
-        assert_eq!(s.total_busy(), SimDuration::from_millis(30));
     }
 }

@@ -4,15 +4,12 @@
 
 use proptest::prelude::*;
 
-use rt_disk::{
-    BlockId, Discipline, Disk, DiskRequest, FetchKind, FileLayout, Layout, ProcId, Service,
-};
-use rt_sim::{Rng, SimTime};
+use rt_disk::{BlockId, Discipline, Disk, DiskRequest, FetchKind, FileLayout, Layout, ProcId};
+use rt_sim::SimTime;
 
 fn req(at: u64, kind: FetchKind, block: u32) -> DiskRequest {
     DiskRequest {
         block: BlockId(block),
-        physical: block,
         kind,
         initiator: ProcId(0),
         submitted: SimTime::from_nanos(at),
@@ -22,7 +19,7 @@ fn req(at: u64, kind: FetchKind, block: u32) -> DiskRequest {
 /// Drive one disk with a submission schedule; drain everything and return
 /// completion order as (block, kind).
 fn drive(discipline: Discipline, jobs: &[(u64, bool)]) -> Vec<(u32, FetchKind)> {
-    let mut disk = Disk::new(Service::paper(), discipline, Rng::seeded(1));
+    let mut disk = Disk::new(discipline);
     let mut completions: Vec<(u32, FetchKind)> = Vec::new();
     let mut next_completion: Option<SimTime> = None;
     let mut jobs: Vec<(u64, bool)> = jobs.to_vec();

@@ -70,11 +70,6 @@ impl Allocator {
         *nf += blocks;
         Ok(base)
     }
-
-    /// Physical blocks in use on `disk`.
-    pub fn used_on(&self, disk: DiskId) -> u32 {
-        self.next_free.get(disk.index()).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +83,8 @@ mod tests {
         let b2 = a.alloc_interleaved(4).unwrap(); // 1 stripe
         assert_eq!(b1, 0);
         assert_eq!(b2, 3);
-        assert_eq!(a.used_on(DiskId(0)), 4);
+        // Disk 0's high-water mark sits above both extents.
+        assert_eq!(a.alloc_contiguous(DiskId(0), 1).unwrap(), 4);
     }
 
     #[test]
@@ -97,8 +93,8 @@ mod tests {
         assert_eq!(a.alloc_contiguous(DiskId(0), 5).unwrap(), 0);
         assert_eq!(a.alloc_contiguous(DiskId(0), 3).unwrap(), 5);
         assert_eq!(a.alloc_contiguous(DiskId(1), 2).unwrap(), 0);
-        assert_eq!(a.used_on(DiskId(0)), 8);
-        assert_eq!(a.used_on(DiskId(1)), 2);
+        assert_eq!(a.alloc_contiguous(DiskId(0), 1).unwrap(), 8);
+        assert_eq!(a.alloc_contiguous(DiskId(1), 1).unwrap(), 2);
     }
 
     #[test]

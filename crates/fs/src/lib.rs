@@ -10,9 +10,9 @@
 //! ```
 //! use rt_fs::{FileSystem, Striping};
 //! use rt_disk::{BlockId, FetchKind, ProcId};
-//! use rt_sim::{Rng, SimTime, SimDuration};
+//! use rt_sim::{SimTime, SimDuration};
 //!
-//! let mut fs = FileSystem::paper(&Rng::seeded(1));
+//! let mut fs = FileSystem::paper();
 //! let file = fs.create("trace.dat", 2000, Striping::Interleaved).unwrap();
 //! // Block 0 of an interleaved file starts immediately on disk 0.
 //! let started = fs

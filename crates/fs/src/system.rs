@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use rt_disk::{
     BlockId, Contiguous, Discipline, DiskFault, DiskId, DiskSubsystem, FaultPlan, FetchKind,
-    FileLayout, Interleaved, Layout, ProcId, Service,
+    FileLayout, Interleaved, Layout, ProcId,
 };
 use rt_sim::{Rng, SimDuration, SimTime};
 
@@ -95,10 +95,6 @@ pub struct FsCompleted {
 }
 
 /// The interleaved file system over parallel independent disks.
-///
-/// `Clone` snapshots the whole system — devices, queues, allocator, and
-/// file table — so a mid-run state can be forked and resumed independently.
-#[derive(Clone)]
 pub struct FileSystem {
     disks: DiskSubsystem,
     allocator: Allocator,
@@ -111,12 +107,11 @@ pub struct FileSystem {
 }
 
 impl FileSystem {
-    /// A file system over `disk_count` devices with the given service model
-    /// and queue discipline.
-    pub fn new(disk_count: u16, service: Service, discipline: Discipline, rng: &Rng) -> Self {
+    /// A file system over `disk_count` devices with the given queue
+    /// discipline.
+    pub fn new(disk_count: u16, discipline: Discipline) -> Self {
         let disks = DiskSubsystem::new(
             disk_count,
-            service,
             discipline,
             // The subsystem's layout maps *global* block numbers; each
             // file's own layout is applied before submission, so the
@@ -124,7 +119,6 @@ impl FileSystem {
             // own bookkeeping. We bypass it by placing per file (see
             // `read`), so any layout works here; use the interleave.
             FileLayout::interleaved(disk_count),
-            rng,
         );
         FileSystem {
             allocator: Allocator::new(disk_count),
@@ -137,8 +131,8 @@ impl FileSystem {
     }
 
     /// The paper's machine: 20 disks, 30 ms fixed latency, FCFS.
-    pub fn paper(rng: &Rng) -> Self {
-        FileSystem::new(20, Service::paper(), Discipline::Fifo, rng)
+    pub fn paper() -> Self {
+        FileSystem::new(20, Discipline::Fifo)
     }
 
     /// Create a file of `blocks` blocks with the given striping; returns
@@ -228,11 +222,6 @@ impl FileSystem {
     /// Metadata of an open file.
     pub fn meta(&self, file: FileId) -> Result<&FileMeta, FsError> {
         self.files.get(file.index()).ok_or(FsError::BadFile)
-    }
-
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
     }
 
     /// Submit a read of `block` within `file` at time `now`. `Ok(Some)`
@@ -443,7 +432,7 @@ mod tests {
     use rt_sim::SimDuration;
 
     fn fs(disks: u16) -> FileSystem {
-        FileSystem::new(disks, Service::paper(), Discipline::Fifo, &Rng::seeded(1))
+        FileSystem::new(disks, Discipline::Fifo)
     }
 
     fn t(ms: u64) -> SimTime {
@@ -458,7 +447,6 @@ mod tests {
         let meta = f.meta(id).unwrap();
         assert_eq!(meta.blocks, 100);
         assert_eq!(meta.name, "data");
-        assert_eq!(f.file_count(), 1);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use rt_disk::{BlockId, Discipline, FetchKind, Layout, ProcId, Service};
+use rt_disk::{BlockId, Discipline, FetchKind, Layout, ProcId};
 use rt_fs::{FileSystem, FsError, Striping};
-use rt_sim::{Rng, SimTime};
+use rt_sim::SimTime;
 
 #[derive(Clone, Debug)]
 struct FileSpec {
@@ -33,7 +33,7 @@ proptest! {
         disks in 1u16..8,
         specs in prop::collection::vec(file_strategy(8), 1..12),
     ) {
-        let mut fs = FileSystem::new(disks, Service::paper(), Discipline::Fifo, &Rng::seeded(1));
+        let mut fs = FileSystem::new(disks, Discipline::Fifo);
         let mut slots = std::collections::HashSet::new();
         for (i, spec) in specs.iter().enumerate() {
             let striping = match spec.striping {
@@ -61,7 +61,7 @@ proptest! {
         specs in prop::collection::vec(file_strategy(6), 1..8),
         block_picks in prop::collection::vec(any::<u32>(), 8),
     ) {
-        let mut fs = FileSystem::new(disks, Service::paper(), Discipline::Fifo, &Rng::seeded(2));
+        let mut fs = FileSystem::new(disks, Discipline::Fifo);
         let mut expected = std::collections::HashSet::new();
         let mut pending: Vec<(rt_disk::DiskId, SimTime)> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
@@ -94,7 +94,7 @@ proptest! {
     /// Out-of-range reads are rejected for every file shape.
     #[test]
     fn out_of_range_rejected(disks in 1u16..6, blocks in 1u32..64) {
-        let mut fs = FileSystem::new(disks, Service::paper(), Discipline::Fifo, &Rng::seeded(3));
+        let mut fs = FileSystem::new(disks, Discipline::Fifo);
         let id = fs.create("f", blocks, Striping::Interleaved).unwrap();
         let err = fs
             .read(SimTime::ZERO, id, BlockId(blocks), FetchKind::Demand, ProcId(0))

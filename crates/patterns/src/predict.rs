@@ -16,10 +16,6 @@ use rt_disk::BlockId;
 
 /// A predictor consumes the observed access stream of one process and
 /// yields candidate blocks to prefetch, nearest-future first.
-///
-/// Predictors are `Send` and clonable through [`Predictor::clone_box`], so
-/// a world holding boxed predictors can be snapshotted mid-run and each
-/// fork carries its own independent copy of the learned state.
 pub trait Predictor: Send {
     /// Observe one demand access.
     fn observe(&mut self, block: BlockId);
@@ -29,15 +25,6 @@ pub trait Predictor: Send {
 
     /// A short name for reports.
     fn name(&self) -> &'static str;
-
-    /// Clone the predictor, learned state included, into a fresh box.
-    fn clone_box(&self) -> Box<dyn Predictor>;
-}
-
-impl Clone for Box<dyn Predictor> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// One-block lookahead, generalized to a run of `depth` successors.
@@ -79,10 +66,6 @@ impl Predictor for Obl {
 
     fn name(&self) -> &'static str {
         "obl"
-    }
-
-    fn clone_box(&self) -> Box<dyn Predictor> {
-        Box::new(self.clone())
     }
 }
 
@@ -195,10 +178,6 @@ impl Predictor for PortionLearner {
 
     fn name(&self) -> &'static str {
         "portion-learner"
-    }
-
-    fn clone_box(&self) -> Box<dyn Predictor> {
-        Box::new(self.clone())
     }
 }
 

@@ -79,15 +79,6 @@ impl AccessPattern {
         !self.is_local()
     }
 
-    /// True for patterns with multiple sequential portions (everything but
-    /// the whole-file patterns).
-    pub fn is_portioned(self) -> bool {
-        !matches!(
-            self,
-            AccessPattern::LocalWholeFile | AccessPattern::GlobalWholeFile
-        )
-    }
-
     /// True when portion length and spacing are regular, so the prefetcher
     /// may predict past a portion boundary (§IV-B: allowed for `lfp`/`gfp`,
     /// forbidden for `lrp`/`grp`; whole-file patterns have one portion).
@@ -184,9 +175,6 @@ mod tests {
         assert!(!GlobalRandomPortions.may_prefetch_across_portions());
         assert!(LocalWholeFile.may_prefetch_across_portions());
         assert!(GlobalWholeFile.may_prefetch_across_portions());
-        assert!(!LocalWholeFile.is_portioned());
-        assert!(!GlobalWholeFile.is_portioned());
-        assert!(LocalFixedPortions.is_portioned());
     }
 
     #[test]

@@ -9,12 +9,6 @@ use crate::event::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// The clock plus the pending-event set, handed to the model on every event.
-///
-/// Cloning (with `E: Clone`) snapshots the clock, the fired count, and the
-/// whole pending set; resuming the clone replays exactly the events the
-/// original would have seen. Pair it with a cloned model to fork a
-/// warmed-up run.
-#[derive(Clone)]
 pub struct Scheduler<E> {
     now: SimTime,
     queue: EventQueue<E>,
@@ -218,45 +212,6 @@ pub fn run_observed<M: Model>(
         events: sched.fired,
         budget_exhausted: false,
     })
-}
-
-/// Like [`run`], but also stops — *after* dispatching the offending event —
-/// as soon as `stop(model)` returns true. The dispatch order up to the stop
-/// point is identical to [`run`]'s, so a run paused here and resumed with
-/// [`run`] on the same model and scheduler replays exactly the tail the
-/// uninterrupted run would have seen. Built for fork points: warm a model
-/// to a condition, clone it together with the scheduler, and continue each
-/// copy independently.
-pub fn run_until<M: Model>(
-    model: &mut M,
-    sched: &mut Scheduler<M::Event>,
-    max_events: u64,
-    mut stop: impl FnMut(&M) -> bool,
-) -> RunOutcome {
-    while let Some((time, event)) = sched.queue.pop() {
-        assert!(
-            time >= sched.now,
-            "event queue returned an event from the past"
-        );
-        sched.now = time;
-        sched.fired += 1;
-        model.handle(event, sched);
-        if sched.fired >= max_events {
-            return RunOutcome {
-                end_time: sched.now,
-                events: sched.fired,
-                budget_exhausted: true,
-            };
-        }
-        if stop(model) {
-            break;
-        }
-    }
-    RunOutcome {
-        end_time: sched.now,
-        events: sched.fired,
-        budget_exhausted: false,
-    }
 }
 
 /// Drive `model` until no events remain, or until `max_events` have fired

@@ -58,7 +58,6 @@ impl Ord for Entry {
 
 /// One slab slot: the payload of a scheduled event plus the generation
 /// counter that invalidates old [`EventId`]s when the slot is reused.
-#[derive(Clone)]
 struct Slot<E> {
     gen: u32,
     live: bool,
@@ -66,13 +65,6 @@ struct Slot<E> {
 }
 
 /// A time-ordered queue of simulation events.
-///
-/// Cloning (with `E: Clone`) snapshots the entire pending set — heap,
-/// slab, and sequence counter — so a cloned queue replays the exact same
-/// pop sequence as the original. This is the foundation of world
-/// snapshot/clone: fork a warmed-up simulation instead of replaying its
-/// prefix.
-#[derive(Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
     slots: Vec<Slot<E>>,

@@ -43,8 +43,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{
-    run, run_observed, run_until, run_with_stats, EngineStats, Model, ObservedEnd, RunOutcome,
-    Scheduler,
+    run, run_observed, run_with_stats, EngineStats, Model, ObservedEnd, RunOutcome, Scheduler,
 };
 pub use event::{EventId, EventQueue};
 pub use resource::{Admission, FifoServer, SimLock};

@@ -1,19 +1,18 @@
 //! Statistics collection for simulation runs.
 //!
 //! The paper reports means, distributions (CDFs), and ratios of measured
-//! quantities. [`Tally`] accumulates streaming moments (Welford), [`Sampled`]
+//! quantities. [`Tally`] accumulates a streaming mean (Welford), [`Sampled`]
 //! retains every observation so percentiles/CDFs can be extracted (and
 //! folds them into a `Tally` on demand), and [`TimeWeighted`] integrates a
 //! piecewise-constant value (e.g. disk queue length) over simulated time.
 
 use crate::time::{SimDuration, SimTime};
 
-/// Streaming count / mean / variance / min / max of a sequence of durations.
+/// Streaming count / mean / min / max of a sequence of durations.
 #[derive(Clone, Debug, Default)]
 pub struct Tally {
     count: u64,
     mean: f64,
-    m2: f64,
     min: Option<SimDuration>,
     max: Option<SimDuration>,
 }
@@ -28,9 +27,7 @@ impl Tally {
     pub fn record(&mut self, d: SimDuration) {
         let x = d.as_nanos() as f64;
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = Some(self.min.map_or(d, |m| m.min(d)));
         self.max = Some(self.max.map_or(d, |m| m.max(d)));
     }
@@ -44,12 +41,9 @@ impl Tally {
             *self = other.clone();
             return;
         }
-        let n1 = self.count as f64;
         let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        let total = self.count as f64 + n2;
+        self.mean += (other.mean - self.mean) * n2 / total;
         self.count += other.count;
         self.min = match (self.min, other.min) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -78,15 +72,6 @@ impl Tally {
     /// Mean in fractional milliseconds (for reporting).
     pub fn mean_millis(&self) -> f64 {
         self.mean / 1.0e6
-    }
-
-    /// Population standard deviation, in fractional milliseconds.
-    pub fn stddev_millis(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt() / 1.0e6
-        }
     }
 
     /// Smallest observation, if any.
@@ -154,15 +139,6 @@ impl Sampled {
         let q = q.clamp(0.0, 1.0);
         let rank = ((sorted.len() as f64) * q).ceil() as usize;
         Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
-    }
-
-    /// Fraction of observations that are ≤ `threshold`.
-    pub fn fraction_at_most(&self, threshold: SimDuration) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let n = self.samples.iter().filter(|&&d| d <= threshold).count();
-        n as f64 / self.samples.len() as f64
     }
 
     /// All observations, in recording order.
@@ -268,11 +244,6 @@ impl Ratio {
         }
     }
 
-    /// `1 - value()`: the miss ratio when this counts hits.
-    pub fn complement(&self) -> f64 {
-        1.0 - self.value()
-    }
-
     /// Merge another ratio (parallel-safe reduction).
     pub fn merge(&mut self, other: Ratio) {
         self.hits += other.hits;
@@ -296,7 +267,6 @@ mod tests {
         }
         assert_eq!(t.count(), 8);
         assert!((t.mean_millis() - 5.0).abs() < 1e-9);
-        assert!((t.stddev_millis() - 2.0).abs() < 1e-9);
         assert_eq!(t.min(), Some(ms(2)));
         assert_eq!(t.max(), Some(ms(9)));
         assert_eq!(t.total(), ms(40));
@@ -326,7 +296,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean_millis() - whole.mean_millis()).abs() < 1e-9);
-        assert!((a.stddev_millis() - whole.stddev_millis()).abs() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
     }
@@ -340,7 +309,6 @@ mod tests {
         assert_eq!(s.quantile(0.5), Some(ms(50)));
         assert_eq!(s.quantile(0.0), Some(ms(1)));
         assert_eq!(s.quantile(1.0), Some(ms(100)));
-        assert!((s.fraction_at_most(ms(70)) - 0.7).abs() < 1e-9);
     }
 
     #[test]
@@ -354,10 +322,6 @@ mod tests {
         let folded = s.tally();
         assert_eq!(s.count(), t.count());
         assert_eq!(folded.mean_millis().to_bits(), t.mean_millis().to_bits());
-        assert_eq!(
-            folded.stddev_millis().to_bits(),
-            t.stddev_millis().to_bits()
-        );
         assert_eq!((folded.min(), folded.max()), (t.min(), t.max()));
         assert_eq!(s.mean(), t.mean());
     }
@@ -366,7 +330,6 @@ mod tests {
     fn sampled_empty() {
         let s = Sampled::new();
         assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.fraction_at_most(ms(1)), 0.0);
     }
 
     #[test]
@@ -399,7 +362,6 @@ mod tests {
         assert_eq!(r.hits(), 3);
         assert_eq!(r.total(), 4);
         assert!((r.value() - 0.75).abs() < 1e-9);
-        assert!((r.complement() - 0.25).abs() < 1e-9);
         let mut other = Ratio::default();
         other.record(false);
         r.merge(other);

@@ -25,12 +25,14 @@
 
 use std::process::ExitCode;
 
-use rapid_transit::cli::{build_config, flag_value, has_flag, parse_pattern};
+use rapid_transit::cli::{
+    build_config, flag_value, has_flag, parse_pattern, sweep_flags, SweepFlags,
+};
 use rapid_transit::core::experiment::{
     paper_grid, run_experiment, run_experiment_observed, run_experiment_traced, run_pair,
     run_pairs_parallel,
 };
-use rapid_transit::core::report::Table;
+use rapid_transit::core::report::{quantile_cell, Table};
 use rapid_transit::core::sweeps::default_threads;
 use rapid_transit::core::trace::{replay_obl, Trace};
 use rapid_transit::core::{ExperimentConfig, ObsConfig, PrefetchConfig, RunMetrics};
@@ -152,12 +154,6 @@ overload options (run):
   --queue-depth N     bound each device queue at N waiting requests
   --prefetch-credits N enable the prefetch admission controller with an
                  N-credit pool (throttles the daemon under pressure)";
-
-/// A `p50/p95/p99` table cell from one of [`RunMetrics`]' quantile
-/// accessors.
-fn quantile_cell(m: &RunMetrics, q: fn(&RunMetrics, f64) -> f64) -> String {
-    format!("{:.2}/{:.2}/{:.2}", q(m, 0.50), q(m, 0.95), q(m, 0.99))
-}
 
 fn metric_rows(m: &RunMetrics) -> Vec<(&'static str, String)> {
     vec![
@@ -476,14 +472,9 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
 fn cmd_faults(args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::faults;
     use rapid_transit::bench::json::Json;
-    use rapid_transit::cli::flag_value;
+    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_faults.json")?;
 
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_faults.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
+    if check {
         let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
         faults::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
@@ -526,14 +517,9 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
 fn cmd_crashes(args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::crashes;
     use rapid_transit::bench::json::Json;
-    use rapid_transit::cli::flag_value;
+    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_crash.json")?;
 
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_crash.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
+    if check {
         let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
         crashes::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
@@ -595,14 +581,9 @@ fn cmd_crashes(args: &[String]) -> Result<(), String> {
 fn cmd_tail(args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::json::Json;
     use rapid_transit::bench::tail;
-    use rapid_transit::cli::flag_value;
+    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_tail.json")?;
 
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_tail.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
+    if check {
         let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
         tail::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
@@ -672,14 +653,9 @@ fn write_flight_dump(out: &str, flight: Option<&rapid_transit::bench::FlightDump
 fn cmd_soak(args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::json::Json;
     use rapid_transit::bench::soak;
-    use rapid_transit::cli::flag_value;
+    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_overload.json")?;
 
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_overload.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
+    if check {
         let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
         soak::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
@@ -732,14 +708,9 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
 fn cmd_integrity(args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::integrity;
     use rapid_transit::bench::json::Json;
-    use rapid_transit::cli::flag_value;
+    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_integrity.json")?;
 
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_integrity.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
+    if check {
         let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
         integrity::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;

@@ -39,6 +39,51 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// The flags of a sweep subcommand (`faults`, `crashes`, `soak`,
+/// `integrity`, `tail`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SweepFlags {
+    /// Report file to write, or to validate with `--check`.
+    pub out: String,
+    /// Run the shrunken smoke sweep instead of the full one.
+    pub smoke: bool,
+    /// Validate `out` instead of running the sweep.
+    pub check: bool,
+}
+
+/// Parse a sweep subcommand's arguments strictly: only `--out FILE`,
+/// `--smoke` and `--check` are accepted, each at most once, so a typo'd
+/// flag fails before the sweep runs or overwrites its report.
+pub fn sweep_flags(args: &[String], default_out: &str) -> Result<SweepFlags, String> {
+    const ACCEPTED: &str = "accepted: --out FILE, --smoke, --check";
+    let mut out = None;
+    let mut smoke = false;
+    let mut check = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let seen = match arg.as_str() {
+            "--out" => {
+                let file = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or("--out requires a value")?;
+                out.replace(file.clone()).is_some()
+            }
+            "--smoke" => std::mem::replace(&mut smoke, true),
+            "--check" => std::mem::replace(&mut check, true),
+            other => return Err(format!("unknown argument {other:?} ({ACCEPTED})")),
+        };
+        if seen {
+            return Err(format!("{arg} given more than once ({ACCEPTED})"));
+        }
+    }
+    Ok(SweepFlags {
+        out: out.unwrap_or_else(|| default_out.to_string()),
+        smoke,
+        check,
+    })
+}
+
 /// Parse a pattern abbreviation (`lfp` … `gw`).
 pub fn parse_pattern(s: &str) -> Result<AccessPattern, String> {
     AccessPattern::from_abbrev(s)
@@ -487,5 +532,42 @@ mod tests {
         assert_eq!(flag_value(&a, "--z").unwrap(), None);
         assert!(has_flag(&a, "--y"));
         assert!(!has_flag(&a, "--w"));
+    }
+
+    #[test]
+    fn sweep_flags_parse() {
+        let f = sweep_flags(&[], "BENCH_x.json").unwrap();
+        assert_eq!(
+            f,
+            SweepFlags {
+                out: "BENCH_x.json".into(),
+                smoke: false,
+                check: false
+            }
+        );
+        let f = sweep_flags(&args(&["--smoke", "--out", "o.json", "--check"]), "d").unwrap();
+        assert_eq!(
+            f,
+            SweepFlags {
+                out: "o.json".into(),
+                smoke: true,
+                check: true
+            }
+        );
+    }
+
+    #[test]
+    fn sweep_flags_reject_unknown_and_repeated() {
+        let err = |list: &[&str]| sweep_flags(&args(list), "d").unwrap_err();
+        let e = err(&["--smoke", "--chek"]);
+        assert!(e.contains("\"--chek\""), "{e}");
+        assert!(e.contains("--out FILE, --smoke, --check"), "{e}");
+        assert!(err(&["stray"]).contains("\"stray\""));
+        let e = err(&["--smoke", "--smoke"]);
+        assert!(e.contains("--smoke given more than once"), "{e}");
+        assert!(err(&["--check", "--check"]).contains("--check given more than once"));
+        assert!(err(&["--out", "a", "--out", "b"]).contains("--out given more than once"));
+        assert_eq!(err(&["--out"]), "--out requires a value");
+        assert_eq!(err(&["--out", "--smoke"]), "--out requires a value");
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use rapid_transit::core::experiment::{run_experiment, RunHandle};
+use rapid_transit::core::experiment::run_experiment;
 use rapid_transit::core::faults::{parse_fault_spec, CrashSpec};
 use rapid_transit::core::world::generate_workload;
 use rapid_transit::core::{AdmissionConfig, RunMetrics, World};
@@ -151,43 +151,6 @@ proptest! {
         prop_assert_eq!(a.unready_hits, b.unready_hits);
         prop_assert_eq!(a.misses, b.misses);
         prop_assert_eq!(a.disk_ops, b.disk_ops);
-    }
-
-    /// Snapshot/clone equivalence: a world cloned mid-run (together with
-    /// its scheduler) and resumed produces the bit-identical run — for any
-    /// machine shape, pattern, sync style, policy, and fork point. Both
-    /// the fork and the original-after-fork must match an uninterrupted
-    /// run of the same configuration.
-    #[test]
-    fn forked_runs_are_bit_identical(
-        cfg in config_strategy(),
-        fork_at_pct in 0u32..95,
-        overload in any::<bool>(),
-        faulty in any::<bool>(),
-    ) {
-        let mut cfg = fixup(cfg);
-        // Fold in the optional layers so clones carry admission state,
-        // fault plans, and armed timeouts across the fork point too.
-        if overload {
-            cfg.queue_depth = Some(2);
-            cfg.admission = AdmissionConfig::on(2);
-        }
-        if faulty {
-            parse_fault_spec(&mut cfg.faults.plan, "straggler:0:x4").unwrap();
-            parse_fault_spec(&mut cfg.faults.plan, "flaky:1:p0.1@1s-4s").unwrap();
-        }
-        let straight = run_experiment(&cfg);
-
-        let mut warm = RunHandle::start(&cfg);
-        let target = cfg.workload.total_reads as u64 * fork_at_pct as u64 / 100;
-        warm.advance_to_reads(target);
-        let fork = warm.fork();
-        prop_assert_eq!(fork.events_fired(), warm.events_fired());
-
-        let from_fork = fork.finish();
-        let from_original = warm.finish();
-        prop_assert_eq!(fingerprint(&from_fork), fingerprint(&straight));
-        prop_assert_eq!(fingerprint(&from_original), fingerprint(&straight));
     }
 
     /// Node-crash robustness: any random crash/rejoin plan, layered over
