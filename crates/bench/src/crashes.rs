@@ -13,35 +13,24 @@
 //!    regression in the reclamation path shows up as a counter shift
 //!    between builds.
 //! 2. **Structural soundness**: every half is re-run under
-//!    [`rt_sim::run_observed`] with [`rt_core::World::check_soak_invariants`]
-//!    evaluated after **every** event plus a livelock watchdog, and
-//!    [`rt_core::World::check_terminal_invariants`] at drain time. The
-//!    validator requires every scenario to terminate with all surviving
-//!    reads complete (`completed + lost == expected`) and zero leaked
-//!    pins, lock leases, or waiter entries.
+//!    [`crate::verify_run`] — per-event invariants, a livelock watchdog,
+//!    and the terminal leak checks — and its verdict is recorded. The
+//!    validator requires every scenario to terminate with every read
+//!    accounted for (`completed + lost + abandoned == expected`) and
+//!    zero violations.
 //!
 //! Everything is deterministic; a given build either always passes or
 //! always fails. The `--smoke` variant shrinks the machine for CI.
 
 use rt_core::experiment::run_pair;
-use rt_core::faults::{parse_all_fault_specs, FaultSpecError};
-use rt_core::{ExperimentConfig, PrefetchConfig, RunMetrics, RunPair, World};
-use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
-use rt_sim::{run_observed, ObservedEnd, Scheduler};
+use rt_core::faults::FaultSpecError;
+use rt_core::RunMetrics;
+use rt_patterns::{AccessPattern, SyncStyle};
 
-use crate::json::{num_obj, sweep_report, Check, Json};
-use crate::FlightDump;
-
-/// Report format version.
-pub const SCHEMA: u64 = 1;
-
-/// Per-run event backstop for the verification pass; a quick-machine
-/// run takes a few thousand events, so hitting this means divergence.
-const RUN_EVENT_BUDGET: u64 = 50_000_000;
-
-/// Watchdog window: this many events without a completed read (or a
-/// crash/rejoin transition) means livelock.
-const STALL_WINDOW: u64 = 400_000;
+use crate::json::Json;
+use crate::sweep::{
+    check_report, check_verdict, halves, inject, machine, run_obj, Field, Scenario, SweepRun,
+};
 
 /// The paper's six access patterns with their report abbreviations.
 pub const PATTERNS: [(&str, AccessPattern); 6] = [
@@ -72,43 +61,18 @@ fn modes(quick: bool) -> [(&'static str, String); 3] {
     }
 }
 
-/// One named crash scenario.
-pub struct CrashScenario {
-    /// Stable scenario name (report key), `<pattern>-<mode>`.
-    pub name: String,
-    /// The full experiment configuration, crash plan included.
-    pub cfg: ExperimentConfig,
-}
-
 /// The fixed scenario grid: six patterns x three crash modes. `quick`
 /// shrinks the machine (4 nodes, 200 blocks) and the crash windows for
 /// smoke tests. A malformed spec is reported as a typed
 /// [`FaultSpecError`] rather than a panic, so the CLI can surface it
 /// through its exit code.
-pub fn scenarios(quick: bool) -> Result<Vec<CrashScenario>, FaultSpecError> {
+pub fn scenarios(quick: bool) -> Result<Vec<Scenario>, FaultSpecError> {
     let mut out = Vec::with_capacity(PATTERNS.len() * 3);
     for (pat_name, pattern) in PATTERNS {
         for (mode_name, spec) in modes(quick) {
-            let mut cfg = ExperimentConfig::paper_default(pattern, SyncStyle::BlocksPerProc(10));
-            if quick {
-                cfg.procs = 4;
-                cfg.disks = 4;
-                cfg.workload = WorkloadParams {
-                    procs: 4,
-                    file_blocks: 200,
-                    total_reads: 200,
-                    ..WorkloadParams::paper()
-                };
-            }
-            let (plan, crashes) = parse_all_fault_specs(&spec)?;
-            debug_assert!(
-                plan.entries().is_empty(),
-                "crash modes carry no device faults"
-            );
-            for c in crashes.entries() {
-                cfg.faults.crashes.push(*c);
-            }
-            out.push(CrashScenario {
+            let mut cfg = machine(pattern, SyncStyle::BlocksPerProc(10), quick);
+            inject(&mut cfg, &spec)?;
+            out.push(Scenario {
                 name: format!("{pat_name}-{mode_name}"),
                 cfg,
             });
@@ -117,211 +81,39 @@ pub fn scenarios(quick: bool) -> Result<Vec<CrashScenario>, FaultSpecError> {
     Ok(out)
 }
 
-/// Outcome of verifying one scenario half.
-#[derive(Clone, Debug)]
-pub struct CrashVerdict {
-    /// Reads the survivors (and any rejoiner) completed.
-    pub completed: u64,
-    /// Unread tail of permanently dead nodes' reference strings.
-    pub abandoned: u64,
-    /// Reads the workload would have performed crash-free.
-    pub expected: u64,
-    /// First invariant violation, if any (`None` means clean).
-    pub violation: Option<String>,
-    /// Flight-recorder dump of the violating run (`None` when clean).
-    pub flight: Option<FlightDump>,
-}
-
-/// Re-run one half of a scenario with per-event invariants, a livelock
-/// watchdog, and the terminal leak checks. `run_pair` measures; this
-/// pass proves the run was structurally sound while doing so.
-pub fn verify_half(cfg: &ExperimentConfig) -> CrashVerdict {
-    let expected = rt_core::world::generate_workload(cfg).total_reads() as u64;
-    let mut world = World::new(cfg.clone());
-    world.enable_obs(rt_core::ObsConfig::flight_recorder());
-    let mut sched = Scheduler::new();
-    world.bootstrap(&mut sched);
-    // Watchdog state: a crash teardown or rejoin counts as progress —
-    // a cascade can legitimately go a while without completing a read.
-    let mut last_progress_mark = 0u64;
-    let mut last_progress_event = 0u64;
-    let end = run_observed(&mut world, &mut sched, RUN_EVENT_BUDGET, |w, events| {
-        w.check_soak_invariants()?;
-        let c = w.crash_metrics();
-        let mark = w.reads_done() + c.crashes + c.rejoins;
-        if mark > last_progress_mark {
-            last_progress_mark = mark;
-            last_progress_event = events;
-        } else if events - last_progress_event > STALL_WINDOW {
-            return Err(format!(
-                "livelock: {} events since the last completed read",
-                events - last_progress_event
-            ));
-        }
-        Ok(())
-    });
-    let mut verdict = CrashVerdict {
-        completed: world.reads_done(),
-        abandoned: world.abandoned_reads(),
-        expected,
-        violation: None,
-        flight: None,
-    };
-    match end {
-        ObservedEnd::Finished(run) => {
-            if run.budget_exhausted {
-                verdict.violation =
-                    Some(format!("run exceeded the {RUN_EVENT_BUDGET}-event budget"));
-            } else if !world.complete() {
-                verdict.violation = Some("run drained without terminating".into());
-            } else if let Err(e) = world.check_terminal_invariants(sched.now()) {
-                verdict.violation = Some(e);
-            } else {
-                let done = world.reads_done();
-                let lost = world.crash_metrics().lost_reads;
-                let abandoned = world.abandoned_reads();
-                if done + lost + abandoned != expected {
-                    verdict.violation = Some(format!(
-                        "read accounting: {done} completed + {lost} lost + \
-                         {abandoned} abandoned != {expected} expected"
-                    ));
-                }
-            }
-        }
-        ObservedEnd::Violation {
-            message,
-            at,
-            events,
-        } => {
-            verdict.violation = Some(format!("{message} (at {at:?}, event {events})"));
-        }
-    }
-    if verdict.violation.is_some() {
-        verdict.flight = FlightDump::take(&mut world);
-    }
-    verdict
-}
-
-/// One scenario's full result: the measured pair plus both verdicts.
-pub struct CrashResult {
-    /// Scenario name (report key).
-    pub name: String,
-    /// Measured base/prefetch halves.
-    pub pair: RunPair,
-    /// Verification verdict for the no-prefetch half.
-    pub base_verdict: CrashVerdict,
-    /// Verification verdict for the prefetching half.
-    pub prefetch_verdict: CrashVerdict,
-}
-
-impl CrashResult {
-    /// First violation across both halves, if any.
-    pub fn violation(&self) -> Option<(&'static str, &str)> {
-        if let Some(v) = &self.base_verdict.violation {
-            return Some(("base", v));
-        }
-        if let Some(v) = &self.prefetch_verdict.violation {
-            return Some(("prefetch", v));
-        }
-        None
-    }
-
-    /// Flight dump of the first violating half, if any.
-    pub fn flight(&self) -> Option<&FlightDump> {
-        if self.base_verdict.violation.is_some() {
-            return self.base_verdict.flight.as_ref();
-        }
-        self.prefetch_verdict.flight.as_ref()
-    }
-}
+/// Fields every per-run object in the report carries, in order, before
+/// the verdict keys.
+pub const FIELDS: &[Field] = &[
+    ("total_ms", |m| m.total_time.as_millis_f64()),
+    ("read_ms", RunMetrics::mean_read_ms),
+    ("hit_ratio", |m| m.hit_ratio),
+    ("crashes", |m| m.crash.crashes as f64),
+    ("rejoins", |m| m.crash.rejoins as f64),
+    ("lost_reads", |m| m.crash.lost_reads as f64),
+    ("reclaimed_locks", |m| m.crash.reclaimed_locks as f64),
+    ("reclaimed_pins", |m| m.crash.reclaimed_pins as f64),
+    ("reclaimed_waiters", |m| m.crash.reclaimed_waiters as f64),
+    ("orphaned_ios", |m| m.crash.orphaned_ios as f64),
+    ("redistributed_prefetches", |m| {
+        m.crash.redistributed_prefetches as f64
+    }),
+];
 
 /// Run every scenario base-vs-prefetch and verify both halves.
-pub fn run_sweep(quick: bool) -> Result<Vec<CrashResult>, FaultSpecError> {
-    Ok(scenarios(quick)?
-        .into_iter()
-        .map(|s| {
-            let pair = run_pair(&s.cfg);
-            let mut base_cfg = s.cfg.clone();
-            base_cfg.prefetch = PrefetchConfig::disabled();
-            let mut pf_cfg = s.cfg.clone();
-            if !pf_cfg.prefetch.enabled {
-                pf_cfg.prefetch = PrefetchConfig::paper();
-            }
-            CrashResult {
-                name: s.name,
-                pair,
-                base_verdict: verify_half(&base_cfg),
-                prefetch_verdict: verify_half(&pf_cfg),
-            }
-        })
-        .collect())
+pub fn run_sweep(quick: bool) -> Result<SweepRun, FaultSpecError> {
+    let mut run = SweepRun::new(quick);
+    for s in scenarios(quick)? {
+        let pair = run_pair(&s.cfg);
+        let [base, prefetch] =
+            halves(&s.cfg).map(|(half, cfg)| run.verify(|| format!("{} ({half})", s.name), &cfg));
+        run.push(vec![
+            ("name", Json::Str(s.name)),
+            ("base", run_obj(FIELDS, &pair.base, Some(&base))),
+            ("prefetch", run_obj(FIELDS, &pair.prefetch, Some(&prefetch))),
+        ]);
+    }
+    Ok(run)
 }
-
-fn run_json(m: &RunMetrics, v: &CrashVerdict) -> Json {
-    let c = &m.crash;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("hit_ratio", m.hit_ratio),
-        ("crashes", c.crashes as f64),
-        ("rejoins", c.rejoins as f64),
-        ("lost_reads", c.lost_reads as f64),
-        ("reclaimed_locks", c.reclaimed_locks as f64),
-        ("reclaimed_pins", c.reclaimed_pins as f64),
-        ("reclaimed_waiters", c.reclaimed_waiters as f64),
-        ("orphaned_ios", c.orphaned_ios as f64),
-        (
-            "redistributed_prefetches",
-            c.redistributed_prefetches as f64,
-        ),
-        ("completed_reads", v.completed as f64),
-        ("abandoned_reads", v.abandoned as f64),
-        ("expected_reads", v.expected as f64),
-        ("violations", u64::from(v.violation.is_some()) as f64),
-    ])
-}
-
-/// Build the report document from a sweep's results. The report is
-/// regenerated wholesale on each run (scenarios are deterministic, so
-/// entries only change when the code does).
-pub fn report(results: &[CrashResult], quick: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        quick,
-        results
-            .iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(r.name.clone())),
-                    ("base".into(), run_json(&r.pair.base, &r.base_verdict)),
-                    (
-                        "prefetch".into(),
-                        run_json(&r.pair.prefetch, &r.prefetch_verdict),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 15] = [
-    "total_ms",
-    "read_ms",
-    "hit_ratio",
-    "crashes",
-    "rejoins",
-    "lost_reads",
-    "reclaimed_locks",
-    "reclaimed_pins",
-    "reclaimed_waiters",
-    "orphaned_ios",
-    "redistributed_prefetches",
-    "completed_reads",
-    "abandoned_reads",
-    "expected_reads",
-    "violations",
-];
 
 /// Check that `doc` is a structurally valid crashes report: correct
 /// schema, the full pattern x mode grid present, every run object
@@ -330,28 +122,18 @@ const RUN_FIELDS: [&str; 15] = [
 /// (`completed + lost == expected`). Every failure is reported,
 /// newline-joined, not just the first.
 pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
-    let scenarios = c.array(doc, "scenarios");
-    let mut seen: Vec<String> = Vec::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
-        seen.push(name.to_string());
+    let mut seen: Vec<&str> = Vec::new();
+    let mut c = check_report(doc, &["base", "prefetch"], FIELDS, |c, name, s| {
+        seen.push(name);
         let expect_crashes = if name.ends_with("-cascade") { 3.0 } else { 1.0 };
         let expect_rejoins = if name.ends_with("-rejoin") { 1.0 } else { 0.0 };
         for half in ["base", "prefetch"] {
             let Some(run) = s.get(half) else {
-                c.fail(format!("scenario {name}: missing {half} run"));
                 continue;
             };
             let ctx = format!("scenario {name}/{half}");
-            c.nums(run, &RUN_FIELDS, &ctx);
+            check_verdict(c, run, &ctx);
             let num = |field: &str| run.get(field).and_then(Json::as_f64);
-            if c.num(run, "violations", &ctx).is_some_and(|v| v != 0.0) {
-                c.fail(format!("{ctx}: verification reported violations"));
-            }
             // A crash scenario must actually crash: rejoin scenarios
             // may see fewer if the node finished first, but the smoke
             // and full windows are chosen so it never does.
@@ -367,28 +149,12 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                     num("rejoins")
                 ));
             }
-            if let (Some(completed), Some(lost), Some(abandoned), Some(expected)) = (
-                num("completed_reads"),
-                num("lost_reads"),
-                num("abandoned_reads"),
-                num("expected_reads"),
-            ) {
-                if completed + lost + abandoned != expected {
-                    c.fail(format!(
-                        "{ctx}: {completed} completed + {lost} lost + {abandoned} \
-                         abandoned != {expected} expected"
-                    ));
-                }
-                if expected <= 0.0 {
-                    c.fail(format!("{ctx}: empty workload"));
-                }
-            }
         }
-    }
+    });
     for (pat, _) in PATTERNS {
         for mode in ["early", "rejoin", "cascade"] {
             let want = format!("{pat}-{mode}");
-            if !seen.contains(&want) {
+            if !seen.contains(&want.as_str()) {
                 c.fail(format!("missing scenario {want}"));
             }
         }
@@ -399,6 +165,8 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::{assert_each_field_required, edited, set, smoke_report};
+    use crate::sweep::{report_scenarios, value};
 
     #[test]
     fn scenario_set_shape() {
@@ -418,39 +186,50 @@ mod tests {
     }
 
     #[test]
-    fn verify_half_passes_on_a_clean_crash_run() {
-        let cfg = &scenarios(true).unwrap()[0].cfg;
-        let v = verify_half(cfg);
-        assert!(v.violation.is_none(), "{:?}", v.violation);
-        assert!(v.completed > 0);
-        assert!(v.completed < v.expected, "a crash-early run loses reads");
-    }
-
-    #[test]
     fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        // Reparse what we would write to disk.
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
-        for r in &results {
-            assert!(r.violation().is_none(), "{}: {:?}", r.name, r.violation());
+        let doc = smoke_report("crashes");
+        let results = report_scenarios(&doc);
+        for s in results {
+            for half in ["base", "prefetch"] {
+                assert_eq!(value(s, half, "violations"), Some(0.0), "{s:?}");
+            }
         }
         // The scenarios actually exercise the recovery machinery: at
         // least one victim somewhere held something reclaimable, and a
         // rejoin run rejoined.
-        let reclaimed: u64 = results
+        let reclaimed: f64 = results
             .iter()
-            .flat_map(|r| [&r.pair.base.crash, &r.pair.prefetch.crash])
-            .map(|c| c.reclaimed_locks + c.reclaimed_pins + c.reclaimed_waiters + c.orphaned_ios)
+            .flat_map(|s| ["base", "prefetch"].map(|half| (s, half)))
+            .flat_map(|(s, half)| {
+                [
+                    "reclaimed_locks",
+                    "reclaimed_pins",
+                    "reclaimed_waiters",
+                    "orphaned_ios",
+                ]
+                .map(|key| value(s, half, key).unwrap())
+            })
             .sum();
-        assert!(reclaimed > 0, "no scenario reclaimed anything");
+        assert!(reclaimed > 0.0, "no scenario reclaimed anything");
         let rejoined = results
             .iter()
-            .filter(|r| r.name.ends_with("-rejoin"))
-            .all(|r| r.pair.base.crash.rejoins == 1 && r.pair.prefetch.crash.rejoins == 1);
+            .filter(|s| {
+                s.get("name")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .ends_with("-rejoin")
+            })
+            .all(|s| {
+                ["base", "prefetch"]
+                    .iter()
+                    .all(|h| value(s, h, "rejoins") == Some(1.0))
+            });
         assert!(rejoined, "a rejoin scenario never rejoined");
+    }
+
+    #[test]
+    fn validation_names_a_dropped_field() {
+        assert_each_field_required("crashes", &["base", "prefetch"], FIELDS);
     }
 
     #[test]
@@ -460,34 +239,13 @@ mod tests {
         let msg = validate_report(&doc).unwrap_err();
         assert!(msg.contains("missing scenario"), "{msg}");
         // A half that reports a violation must fail validation.
-        let doc = Json::parse(
-            r#"{"schema":1,"smoke":true,"scenarios":[{"name":"gw-early",
-                "base":{"total_ms":1,"read_ms":1,"hit_ratio":0,"crashes":1,"rejoins":0,
-                  "lost_reads":1,"reclaimed_locks":0,"reclaimed_pins":0,"reclaimed_waiters":0,
-                  "orphaned_ios":0,"redistributed_prefetches":0,"completed_reads":199,
-                  "abandoned_reads":0,"expected_reads":200,"violations":1},
-                "prefetch":{"total_ms":1,"read_ms":1,"hit_ratio":0,"crashes":1,"rejoins":0,
-                  "lost_reads":1,"reclaimed_locks":0,"reclaimed_pins":0,"reclaimed_waiters":0,
-                  "orphaned_ios":0,"redistributed_prefetches":0,"completed_reads":199,
-                  "abandoned_reads":0,"expected_reads":200,"violations":0}}]}"#,
-        )
-        .unwrap();
-        let msg = validate_report(&doc).unwrap_err();
+        let doc = smoke_report("crashes");
+        let broken = edited(&doc, "gw-early", "base", |f| set(f, "violations", 1.0));
+        let msg = validate_report(&broken).unwrap_err();
         assert!(msg.contains("violations"), "{msg}");
         // Broken read accounting must fail validation.
-        let doc = Json::parse(
-            r#"{"schema":1,"smoke":true,"scenarios":[{"name":"gw-early",
-                "base":{"total_ms":1,"read_ms":1,"hit_ratio":0,"crashes":1,"rejoins":0,
-                  "lost_reads":1,"reclaimed_locks":0,"reclaimed_pins":0,"reclaimed_waiters":0,
-                  "orphaned_ios":0,"redistributed_prefetches":0,"completed_reads":150,
-                  "abandoned_reads":0,"expected_reads":200,"violations":0},
-                "prefetch":{"total_ms":1,"read_ms":1,"hit_ratio":0,"crashes":1,"rejoins":0,
-                  "lost_reads":1,"reclaimed_locks":0,"reclaimed_pins":0,"reclaimed_waiters":0,
-                  "orphaned_ios":0,"redistributed_prefetches":0,"completed_reads":199,
-                  "abandoned_reads":0,"expected_reads":200,"violations":0}}]}"#,
-        )
-        .unwrap();
-        let msg = validate_report(&doc).unwrap_err();
+        let broken = edited(&doc, "gw-early", "base", |f| set(f, "completed_reads", 0.0));
+        let msg = validate_report(&broken).unwrap_err();
         assert!(msg.contains("lost"), "{msg}");
     }
 }

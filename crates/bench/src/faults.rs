@@ -7,207 +7,116 @@
 //! fault-free control. The report records both halves of each pair along
 //! with the fault-path counters, so a regression in retry/degradation
 //! behaviour shows up as a counter or completion-time shift between
-//! builds. The `--smoke` variant shrinks the machine for CI.
+//! builds, and re-runs both halves under [`crate::verify_run`]. The
+//! `--smoke` variant shrinks the machine for CI.
 
 use rt_core::experiment::run_pair;
-use rt_core::faults::{parse_fault_specs, FaultSpecError};
-use rt_core::{ExperimentConfig, RunMetrics, RunPair};
-use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
+use rt_core::faults::FaultSpecError;
+use rt_core::RunMetrics;
+use rt_patterns::{AccessPattern, SyncStyle};
 use rt_sim::SimDuration;
 
-use crate::json::{num_obj, sweep_report, Check, Json};
-
-/// Report format version.
-pub const SCHEMA: u64 = 1;
-
-/// One named fault scenario over the base `lfp` configuration.
-pub struct FaultScenario {
-    /// Stable scenario name (report key).
-    pub name: &'static str,
-    /// The full experiment configuration, faults included.
-    pub cfg: ExperimentConfig,
-}
+use crate::json::Json;
+use crate::sweep::{
+    check_report, halves, inject, machine, report_scenarios, run_obj, value, Field, Scenario,
+    SweepRun,
+};
 
 /// The fixed scenario set. `quick` shrinks the machine (4 nodes, 200
 /// blocks) and the fault windows for smoke tests. A malformed spec is
 /// reported as a typed [`FaultSpecError`] rather than a panic, so the
 /// CLI can surface it through its exit code.
-pub fn scenarios(quick: bool) -> Result<Vec<FaultScenario>, FaultSpecError> {
-    let base =
-        |specs: &str, replicas: u16, timeout_ms: u64| -> Result<ExperimentConfig, FaultSpecError> {
-            let mut cfg = ExperimentConfig::paper_default(
-                AccessPattern::LocalFixedPortions,
-                SyncStyle::BlocksPerProc(10),
-            );
-            if quick {
-                cfg.procs = 4;
-                cfg.disks = 4;
-                cfg.workload = WorkloadParams {
-                    procs: 4,
-                    file_blocks: 200,
-                    total_reads: 200,
-                    ..WorkloadParams::paper()
-                };
-            }
-            cfg.faults.plan = parse_fault_specs(specs)?;
+pub fn scenarios(quick: bool) -> Result<Vec<Scenario>, FaultSpecError> {
+    // Disk indices and windows scale with the machine: the smoke machine
+    // has 4 disks and finishes in roughly a second of simulated time.
+    // (name, smoke specs, full specs, replicas, timeout ms)
+    const SET: [(&str, &str, &str, u16, u64); 6] = [
+        ("none", "", "", 0, 0),
+        ("straggler-x4", "straggler:2:x4", "straggler:7:x4", 0, 0),
+        ("flaky-p30", "flaky:1:p0.3", "flaky:3:p0.3", 0, 0),
+        ("outage-repair", "fail:3@100ms-400ms", "fail:5@1s-4s", 0, 0),
+        ("outage-replica", "fail:3@100ms", "fail:5@1s", 1, 500),
+        (
+            "straggler-timeout",
+            "straggler:2:x25",
+            "straggler:7:x25",
+            1,
+            500,
+        ),
+    ];
+    SET.iter()
+        .map(|&(name, smoke, full, replicas, timeout_ms)| {
+            let lfp = AccessPattern::LocalFixedPortions;
+            let mut cfg = machine(lfp, SyncStyle::BlocksPerProc(10), quick);
+            inject(&mut cfg, if quick { smoke } else { full })?;
             cfg.faults.replicas = replicas;
             if timeout_ms > 0 {
                 cfg.faults.retry.timeout = Some(SimDuration::from_millis(timeout_ms));
             }
-            Ok(cfg)
-        };
-    // Disk indices and windows scale with the machine: the smoke machine
-    // has 4 disks and finishes in roughly a second of simulated time.
-    Ok(if quick {
-        vec![
-            FaultScenario {
-                name: "none",
-                cfg: base("", 0, 0)?,
-            },
-            FaultScenario {
-                name: "straggler-x4",
-                cfg: base("straggler:2:x4", 0, 0)?,
-            },
-            FaultScenario {
-                name: "flaky-p30",
-                cfg: base("flaky:1:p0.3", 0, 0)?,
-            },
-            FaultScenario {
-                name: "outage-repair",
-                cfg: base("fail:3@100ms-400ms", 0, 0)?,
-            },
-            FaultScenario {
-                name: "outage-replica",
-                cfg: base("fail:3@100ms", 1, 500)?,
-            },
-            FaultScenario {
-                name: "straggler-timeout",
-                cfg: base("straggler:2:x25", 1, 500)?,
-            },
-        ]
-    } else {
-        vec![
-            FaultScenario {
-                name: "none",
-                cfg: base("", 0, 0)?,
-            },
-            FaultScenario {
-                name: "straggler-x4",
-                cfg: base("straggler:7:x4", 0, 0)?,
-            },
-            FaultScenario {
-                name: "flaky-p30",
-                cfg: base("flaky:3:p0.3", 0, 0)?,
-            },
-            FaultScenario {
-                name: "outage-repair",
-                cfg: base("fail:5@1s-4s", 0, 0)?,
-            },
-            FaultScenario {
-                name: "outage-replica",
-                cfg: base("fail:5@1s", 1, 500)?,
-            },
-            FaultScenario {
-                name: "straggler-timeout",
-                cfg: base("straggler:7:x25", 1, 500)?,
-            },
-        ]
-    })
-}
-
-/// Run every scenario base-vs-prefetch.
-pub fn run_sweep(quick: bool) -> Result<Vec<(&'static str, RunPair)>, FaultSpecError> {
-    Ok(scenarios(quick)?
-        .into_iter()
-        .map(|s| (s.name, run_pair(&s.cfg)))
-        .collect())
-}
-
-fn run_json(m: &RunMetrics) -> Json {
-    let f = &m.faults;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("hit_ratio", m.hit_ratio),
-        ("io_errors", f.io_errors as f64),
-        ("retries", f.retries as f64),
-        ("retries_exhausted", f.retries_exhausted as f64),
-        ("timeouts", f.timeouts as f64),
-        ("redirects", f.redirects as f64),
-        ("aborted_prefetches", f.aborted_prefetches as f64),
-        ("degraded_skips", f.degraded_skips as f64),
-        ("degraded_intervals", f.degraded_intervals as f64),
-        ("degraded_time_ms", f.degraded_time.as_millis_f64()),
-    ])
-}
-
-/// Build the report document from a sweep's results. The report is
-/// regenerated wholesale on each run (scenarios are deterministic, so
-/// entries only change when the code does).
-pub fn report(results: &[(&'static str, RunPair)], quick: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        quick,
-        results
-            .iter()
-            .map(|(name, pair)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str((*name).to_string())),
-                    ("base".into(), run_json(&pair.base)),
-                    ("prefetch".into(), run_json(&pair.prefetch)),
-                ])
+            Ok(Scenario {
+                name: name.to_string(),
+                cfg,
             })
-            .collect(),
-    )
+        })
+        .collect()
 }
 
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 12] = [
-    "total_ms",
-    "read_ms",
-    "hit_ratio",
-    "io_errors",
-    "retries",
-    "retries_exhausted",
-    "timeouts",
-    "redirects",
-    "aborted_prefetches",
-    "degraded_skips",
-    "degraded_intervals",
-    "degraded_time_ms",
+/// Fields every per-run object in the report carries, in order.
+pub const FIELDS: &[Field] = &[
+    ("total_ms", |m| m.total_time.as_millis_f64()),
+    ("read_ms", RunMetrics::mean_read_ms),
+    ("hit_ratio", |m| m.hit_ratio),
+    ("io_errors", |m| m.faults.io_errors as f64),
+    ("retries", |m| m.faults.retries as f64),
+    ("retries_exhausted", |m| m.faults.retries_exhausted as f64),
+    ("timeouts", |m| m.faults.timeouts as f64),
+    ("redirects", |m| m.faults.redirects as f64),
+    ("aborted_prefetches", |m| m.faults.aborted_prefetches as f64),
+    ("degraded_skips", |m| m.faults.degraded_skips as f64),
+    ("degraded_intervals", |m| m.faults.degraded_intervals as f64),
+    ("degraded_time_ms", |m| {
+        m.faults.degraded_time.as_millis_f64()
+    }),
 ];
+
+/// Run every scenario base-vs-prefetch and verify both halves.
+pub fn run_sweep(quick: bool) -> Result<SweepRun, FaultSpecError> {
+    let mut run = SweepRun::new(quick);
+    for s in scenarios(quick)? {
+        let pair = run_pair(&s.cfg);
+        for (half, cfg) in halves(&s.cfg) {
+            run.verify(|| format!("{} ({half})", s.name), &cfg);
+        }
+        run.push(vec![
+            ("name", Json::Str(s.name)),
+            ("base", run_obj(FIELDS, &pair.base, None)),
+            ("prefetch", run_obj(FIELDS, &pair.prefetch, None)),
+        ]);
+    }
+    Ok(run)
+}
 
 /// Check that `doc` is a structurally valid faults report: correct
 /// schema, a non-empty scenario array including the fault-free control,
 /// and every run object carrying all counters. Every failure is
 /// reported, newline-joined, not just the first.
 pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
-    let scenarios = c.array(doc, "scenarios");
-    let mut saw_control = scenarios.is_empty();
-    for (i, s) in scenarios.iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
-        saw_control |= name == "none";
+    let mut saw_control = false;
+    let mut c = check_report(doc, &["base", "prefetch"], FIELDS, |c, name, s| {
+        if name != "none" {
+            return;
+        }
+        saw_control = true;
         for half in ["base", "prefetch"] {
-            let Some(run) = s.get(half) else {
-                c.fail(format!("scenario {name}: missing {half} run"));
-                continue;
-            };
-            c.nums(run, &RUN_FIELDS, &format!("scenario {name}/{half}"));
-            if name == "none" {
-                let errs = run.get("io_errors").and_then(Json::as_f64).unwrap_or(0.0);
-                if errs != 0.0 {
-                    c.fail(format!(
-                        "control scenario reports {errs} io_errors in its {half} run"
-                    ));
-                }
+            let errs = value(s, half, "io_errors").unwrap_or(0.0);
+            if errs != 0.0 {
+                c.fail(format!(
+                    "control scenario reports {errs} io_errors in its {half} run"
+                ));
             }
         }
-    }
-    if !saw_control {
+    });
+    if !saw_control && !report_scenarios(doc).is_empty() {
         c.fail("missing the fault-free control scenario `none`");
     }
     c.finish()
@@ -216,6 +125,7 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::{assert_each_field_required, smoke_report};
 
     #[test]
     fn scenario_set_shape() {
@@ -232,27 +142,26 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        // Reparse what we would write to disk.
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
+        let doc = smoke_report("faults");
+        let s = report_scenarios(&doc);
+        let num = |i: usize, half: &str, key: &str| value(&s[i], half, key).unwrap();
         // Injected scenarios actually exercised the fault path.
-        let straggler = &results[1];
         assert!(
-            straggler.1.prefetch.faults.degraded_intervals > 0
-                || straggler.1.prefetch.faults.degraded_skips > 0,
+            num(1, "prefetch", "degraded_intervals") > 0.0
+                || num(1, "prefetch", "degraded_skips") > 0.0,
             "straggler scenario never degraded the device"
         );
-        let flaky = &results[2];
-        assert!(flaky.1.base.faults.io_errors > 0);
-        assert!(flaky.1.base.faults.retries > 0);
+        assert!(num(2, "base", "io_errors") > 0.0);
+        assert!(num(2, "base", "retries") > 0.0);
         // The extreme straggler outlasts the 500 ms timeout, forcing
         // timeout-driven redirects to the replica.
-        let timeouty = &results[5];
-        assert!(timeouty.1.base.faults.timeouts > 0);
-        assert!(timeouty.1.base.faults.redirects > 0);
+        assert!(num(5, "base", "timeouts") > 0.0);
+        assert!(num(5, "base", "redirects") > 0.0);
+    }
+
+    #[test]
+    fn validation_names_a_dropped_field() {
+        assert_each_field_required("faults", &["base", "prefetch"], FIELDS);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! fetch. Two things are checked per scenario:
 //!
 //! 1. **The integrity guarantee**: the scenario is re-run under
-//!    [`rt_sim::run_observed`] with [`rt_core::World::check_soak_invariants`]
-//!    evaluated after **every** event, which (among the structural
-//!    invariants) rejects the run the instant a corrupt payload is
-//!    delivered to a reader as clean data.
+//!    [`crate::verify_run`], whose per-event invariants reject the run
+//!    the instant a corrupt payload is delivered to a reader as clean
+//!    data.
 //! 2. **The counters**: the report records the integrity counters of each
 //!    run, and [`validate_report`] rejects any document where a corrupt
 //!    block was delivered, where injected corruption went undetected
@@ -23,20 +22,13 @@
 
 use rt_core::experiment::run_experiment;
 use rt_core::faults::{parse_fault_specs, FaultSpecError};
-use rt_core::{ExperimentConfig, ObsConfig, PrefetchConfig, RunMetrics, World};
-use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
-use rt_sim::{run_observed, ObservedEnd, Scheduler};
+use rt_core::{ExperimentConfig, PrefetchConfig, RunMetrics};
+use rt_patterns::{AccessPattern, SyncStyle};
 
-use crate::json::{num_obj, sweep_report, Check, Json};
-use crate::FlightDump;
-
-/// Report format version.
-pub const SCHEMA: u64 = 1;
-
-/// Per-run event backstop for the observed re-run; a run on either
-/// machine takes well under a million events, so hitting this means the
-/// run diverged.
-const RUN_EVENT_BUDGET: u64 = 20_000_000;
+use crate::json::{num_obj, Json};
+use crate::sweep::{
+    check_report, check_verified, machine, report_scenarios, run_obj, value, Field, SweepRun,
+};
 
 /// The three ways each pattern runs.
 pub const VARIANTS: [&str; 3] = ["clean", "corrupt", "corrupt-scrub"];
@@ -59,17 +51,7 @@ pub fn scenarios(smoke: bool) -> Result<Vec<IntegrityScenario>, FaultSpecError> 
     let mut out = Vec::new();
     for pattern in AccessPattern::ALL {
         for variant in VARIANTS {
-            let mut cfg = ExperimentConfig::paper_default(pattern, SyncStyle::BlocksPerProc(10));
-            if smoke {
-                cfg.procs = 4;
-                cfg.disks = 4;
-                cfg.workload = WorkloadParams {
-                    procs: 4,
-                    file_blocks: 200,
-                    total_reads: 200,
-                    ..WorkloadParams::paper()
-                };
-            }
+            let mut cfg = machine(pattern, SyncStyle::BlocksPerProc(10), smoke);
             cfg.prefetch = PrefetchConfig::paper();
             if variant != "clean" {
                 // One device corrupting for the whole run, another for a
@@ -90,142 +72,49 @@ pub fn scenarios(smoke: bool) -> Result<Vec<IntegrityScenario>, FaultSpecError> 
     Ok(out)
 }
 
-/// Outcome of one scenario: the metrics of the run plus the observed
-/// re-run's event count and first invariant violation, if any.
-#[derive(Clone, Debug)]
-pub struct IntegrityOutcome {
-    /// Metrics of the (identical, deterministic) plain run.
-    pub metrics: RunMetrics,
-    /// Events the observed re-run dispatched.
-    pub events: u64,
-    /// First per-event invariant violation (`None` means clean).
-    pub violation: Option<String>,
-    /// Flight-recorder dump of the violating re-run (`None` when clean).
-    pub flight: Option<FlightDump>,
-}
-
-/// Run one scenario: the plain run for its metrics, then the observed
-/// re-run with every invariant checked after every event. The re-run
-/// keeps a flight recorder; when the corrupt-delivery tripwire (or any
-/// other invariant) fires, its recording comes back as
-/// [`IntegrityOutcome::flight`] for a postmortem dump.
-pub fn run_scenario(cfg: &ExperimentConfig) -> IntegrityOutcome {
-    let metrics = run_experiment(cfg);
-    let mut world = World::new(cfg.clone());
-    world.enable_obs(ObsConfig::flight_recorder());
-    let mut sched = Scheduler::new();
-    world.bootstrap(&mut sched);
-    let end = run_observed(&mut world, &mut sched, RUN_EVENT_BUDGET, |w, _| {
-        w.check_soak_invariants()
-    });
-    let (events, violation) = match end {
-        ObservedEnd::Finished(run) => {
-            let violation = if run.budget_exhausted {
-                Some(format!("run exceeded the {RUN_EVENT_BUDGET}-event budget"))
-            } else if !world.complete() {
-                Some("run drained without finishing".into())
-            } else {
-                None
-            };
-            (run.events, violation)
-        }
-        ObservedEnd::Violation {
-            message,
-            at,
-            events,
-        } => (
-            events,
-            Some(format!("{message} (at {at:?}, event {events})")),
-        ),
-    };
-    let flight = if violation.is_some() {
-        FlightDump::take(&mut world)
-    } else {
-        None
-    };
-    IntegrityOutcome {
-        metrics,
-        events,
-        violation,
-        flight,
-    }
-}
-
-/// Run every scenario.
-pub fn run_sweep(
-    smoke: bool,
-) -> Result<Vec<(IntegrityScenario, IntegrityOutcome)>, FaultSpecError> {
-    Ok(scenarios(smoke)?
-        .into_iter()
-        .map(|s| {
-            let out = run_scenario(&s.cfg);
-            (s, out)
-        })
-        .collect())
-}
-
-fn run_json(m: &RunMetrics) -> Json {
-    let ig = &m.integrity;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("hit_ratio", m.hit_ratio),
-        ("corruptions", ig.corruptions as f64),
-        ("detections", ig.detections as f64),
-        ("repairs", ig.repairs as f64),
-        ("rewrites", ig.rewrites as f64),
-        ("scrubbed", ig.scrubbed as f64),
-        ("scrub_detections", ig.scrub_detections as f64),
-        ("poisoned_blocks", ig.poisoned_blocks as f64),
-        ("failed_reads", ig.failed_reads as f64),
-        ("corrupt_delivered", ig.corrupt_delivered as f64),
-        ("quarantines", ig.quarantines as f64),
-        ("quarantined_ms", ig.quarantined_time.as_millis_f64()),
-    ])
-}
-
-/// Build the report document from a sweep's results.
-pub fn report(results: &[(IntegrityScenario, IntegrityOutcome)], smoke: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        smoke,
-        results
-            .iter()
-            .map(|(s, out)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(s.name.clone())),
-                    ("variant".into(), Json::Str(s.variant.to_string())),
-                    ("run".into(), run_json(&out.metrics)),
-                    (
-                        "observed".into(),
-                        num_obj(&[
-                            ("events", out.events as f64),
-                            ("violations", u64::from(out.violation.is_some()) as f64),
-                        ]),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 14] = [
-    "total_ms",
-    "read_ms",
-    "hit_ratio",
-    "corruptions",
-    "detections",
-    "repairs",
-    "rewrites",
-    "scrubbed",
-    "scrub_detections",
-    "poisoned_blocks",
-    "failed_reads",
-    "corrupt_delivered",
-    "quarantines",
-    "quarantined_ms",
+/// Fields every per-run object in the report carries, in order.
+pub const FIELDS: &[Field] = &[
+    ("total_ms", |m| m.total_time.as_millis_f64()),
+    ("read_ms", RunMetrics::mean_read_ms),
+    ("hit_ratio", |m| m.hit_ratio),
+    ("corruptions", |m| m.integrity.corruptions as f64),
+    ("detections", |m| m.integrity.detections as f64),
+    ("repairs", |m| m.integrity.repairs as f64),
+    ("rewrites", |m| m.integrity.rewrites as f64),
+    ("scrubbed", |m| m.integrity.scrubbed as f64),
+    ("scrub_detections", |m| m.integrity.scrub_detections as f64),
+    ("poisoned_blocks", |m| m.integrity.poisoned_blocks as f64),
+    ("failed_reads", |m| m.integrity.failed_reads as f64),
+    ("corrupt_delivered", |m| {
+        m.integrity.corrupt_delivered as f64
+    }),
+    ("quarantines", |m| m.integrity.quarantines as f64),
+    ("quarantined_ms", |m| {
+        m.integrity.quarantined_time.as_millis_f64()
+    }),
 ];
+
+/// Run every scenario for its metrics, then verify it.
+pub fn run_sweep(smoke: bool) -> Result<SweepRun, FaultSpecError> {
+    let mut run = SweepRun::new(smoke);
+    for s in scenarios(smoke)? {
+        let metrics = run_experiment(&s.cfg);
+        let verdict = run.verify(|| s.name.clone(), &s.cfg);
+        run.push(vec![
+            ("name", Json::Str(s.name)),
+            ("variant", Json::Str(s.variant.to_string())),
+            ("run", run_obj(FIELDS, &metrics, None)),
+            (
+                "observed",
+                num_obj(&[
+                    ("events", verdict.events as f64),
+                    ("violations", u64::from(verdict.violation.is_some()) as f64),
+                ]),
+            ),
+        ]);
+    }
+    Ok(run)
+}
 
 /// Check that `doc` is a structurally valid integrity report, and that
 /// it witnesses the end-to-end guarantee: no scenario delivered a
@@ -235,16 +124,9 @@ const RUN_FIELDS: [&str; 14] = [
 /// per-event observed re-runs reported zero violations. Every failure
 /// is reported, newline-joined, not just the first.
 pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
-    let scenarios = c.array(doc, "scenarios");
-    let structure_ok = !scenarios.is_empty();
     let mut seen = [0u32; 3];
     let mut scrubbed_total = 0.0;
-    for (i, s) in scenarios.iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
+    let mut c = check_report(doc, &["run"], FIELDS, |c, name, s| {
         let variant = c.string(s, "variant", &format!("scenario {name}"));
         let slot = variant.and_then(|v| VARIANTS.iter().position(|k| *k == v));
         match (variant, slot) {
@@ -252,12 +134,11 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
             (_, Some(slot)) => seen[slot] += 1,
             _ => {}
         }
-        let Some(run) = s.get("run") else {
-            c.fail(format!("scenario {name}: missing run"));
-            continue;
-        };
-        c.nums(run, &RUN_FIELDS, &format!("scenario {name}"));
-        let num = |f: &str| run.get(f).and_then(Json::as_f64);
+        check_verified(c, name, s, "observed", 1);
+        if s.get("run").is_none() {
+            return;
+        }
+        let num = |f: &str| value(s, "run", f);
         // The guarantee itself: nothing corrupt ever reached a reader.
         if num("corrupt_delivered").is_some_and(|v| v != 0.0) {
             c.fail(format!(
@@ -291,30 +172,8 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         if variant == Some("corrupt-scrub") {
             scrubbed_total += num("scrubbed").unwrap_or(0.0);
         }
-        let Some(observed) = s.get("observed") else {
-            c.fail(format!("scenario {name}: missing observed"));
-            continue;
-        };
-        if c.num(
-            observed,
-            "violations",
-            &format!("scenario {name}: observed"),
-        )
-        .is_some_and(|v| v != 0.0)
-        {
-            c.fail(format!(
-                "scenario {name}: per-event invariant check reported violations"
-            ));
-        }
-        if observed
-            .get("events")
-            .and_then(Json::as_f64)
-            .is_none_or(|e| e <= 0.0)
-        {
-            c.fail(format!("scenario {name}: observed re-run ran no events"));
-        }
-    }
-    if structure_ok {
+    });
+    if !report_scenarios(doc).is_empty() {
         for (v, n) in VARIANTS.iter().zip(seen) {
             if n == 0 {
                 c.fail(format!("no {v} scenario in the report"));
@@ -330,6 +189,7 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::{assert_each_field_required, edited, set, smoke_report};
 
     #[test]
     fn scenario_set_shape() {
@@ -352,15 +212,14 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        // Reparse what we would write to disk.
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
-        for (s, out) in &results {
-            assert!(out.violation.is_none(), "{}: {:?}", s.name, out.violation);
+        for s in report_scenarios(&smoke_report("integrity")) {
+            assert_eq!(value(s, "observed", "violations"), Some(0.0), "{s:?}");
         }
+    }
+
+    #[test]
+    fn validation_names_a_dropped_field() {
+        assert_each_field_required("integrity", &["run"], FIELDS);
     }
 
     #[test]
@@ -370,25 +229,10 @@ mod tests {
         assert!(validate_report(&doc).unwrap_err().contains("empty"));
         // A delivered corrupt block must be rejected even if every other
         // field is in order.
-        let run_fields: Vec<String> = RUN_FIELDS
-            .iter()
-            .map(|f| {
-                let v = match *f {
-                    "corruptions" => 2,
-                    "corrupt_delivered" | "detections" | "scrub_detections" => 1,
-                    _ => 0,
-                };
-                format!("\"{f}\":{v}")
-            })
-            .collect();
-        let text = format!(
-            r#"{{"schema":1,"smoke":true,"scenarios":[{{"name":"gw/corrupt",
-                "variant":"corrupt","run":{{{}}},
-                "observed":{{"events":100,"violations":0}}}}]}}"#,
-            run_fields.join(",")
-        );
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_report(&doc)
+        let broken = edited(&smoke_report("integrity"), "gw/corrupt", "run", |f| {
+            set(f, "corrupt_delivered", 1.0)
+        });
+        assert!(validate_report(&broken)
             .unwrap_err()
             .contains("delivered a corrupt block"));
     }

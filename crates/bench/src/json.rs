@@ -175,16 +175,6 @@ pub fn num_obj(fields: &[(&str, f64)]) -> Json {
     Json::Obj(fields.iter().map(|(k, v)| num(k, *v)).collect())
 }
 
-/// The standard sweep-report shell shared by the faults, soak, and
-/// integrity harnesses: format version, smoke flag, scenario array.
-pub fn sweep_report(schema: u64, smoke: bool, scenarios: Vec<Json>) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::Num(schema as f64)),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("scenarios".into(), Json::Arr(scenarios)),
-    ])
-}
-
 /// A validation-failure accumulator. Report validators record every
 /// problem they find instead of stopping at the first, so one `--check`
 /// run surfaces the complete damage; [`Check::finish`] joins the
@@ -536,7 +526,7 @@ mod tests {
 
     #[test]
     fn check_array_and_shell_helpers() {
-        let doc = sweep_report(3, true, vec![num_obj(&[("x", 1.0)])]);
+        let doc = Json::parse(r#"{"schema":3,"smoke":true,"scenarios":[{"x":1}]}"#).unwrap();
         let mut c = Check::new();
         c.require_schema(&doc, 3);
         assert_eq!(c.array(&doc, "scenarios").len(), 1);

@@ -26,16 +26,19 @@ pub mod faults;
 pub mod integrity;
 pub mod json;
 pub mod soak;
+pub mod sweep;
 pub mod tail;
 pub mod trace_check;
+
+pub use sweep::{verify_run, Verdict, RUN_EVENT_BUDGET, STALL_WINDOW};
 
 /// Events shown in a flight dump's human-readable tail.
 pub const FLIGHT_TAIL_EVENTS: usize = 40;
 
 /// A flight-recorder postmortem: the Perfetto JSON document plus a
-/// human-readable tail of the last events before a violation. The soak
-/// and integrity harnesses produce one whenever an invariant (including
-/// the corrupt-delivery tripwire) fires mid-run.
+/// human-readable tail of the last events before a violation.
+/// [`verify_run`] produces one whenever an invariant (including the
+/// corrupt-delivery tripwire) fires mid-run.
 #[derive(Clone, Debug)]
 pub struct FlightDump {
     /// Chrome Trace Event JSON (open in ui.perfetto.dev).

@@ -12,26 +12,26 @@
 //!    keeps paying off under overload; the validator rejects any report
 //!    where the prefetch half is slower than the base half.
 //! 2. **Structural soundness**: each scenario is then *soaked* — re-run
-//!    under [`rt_sim::run_observed`] across many derived seeds until a
+//!    under [`crate::verify_run`] across many derived seeds until a
 //!    target number of events (one million for the full run) has been
-//!    dispatched with [`rt_core::World::check_soak_invariants`] evaluated
-//!    after **every** event, plus a progress watchdog that catches
-//!    livelock (events flowing, no reads completing).
+//!    dispatched, every run checked after **every** event, watched for
+//!    livelock (events flowing, no reads completing), and held to the
+//!    terminal leak and read-accounting checks.
 //!
 //! Everything is seeded; a given build either always passes or always
 //! fails. The `--smoke` variant shrinks the event target for CI.
 
 use rt_core::experiment::run_pair;
-use rt_core::faults::{parse_all_fault_specs, parse_fault_specs, FaultSpecError};
-use rt_core::{AdmissionConfig, ExperimentConfig, ObsConfig, RunMetrics, RunPair, World};
-use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
-use rt_sim::{run_observed, ObservedEnd, Scheduler, SimDuration};
+use rt_core::faults::FaultSpecError;
+use rt_core::{AdmissionConfig, ExperimentConfig, RunMetrics};
+use rt_patterns::{AccessPattern, SyncStyle};
+use rt_sim::SimDuration;
 
-use crate::json::{num_obj, sweep_report, Check, Json};
-use crate::FlightDump;
-
-/// Report format version.
-pub const SCHEMA: u64 = 1;
+use crate::json::{num_obj, Json};
+use crate::sweep::{
+    check_report, check_verified, inject, machine, run_obj, value, verify_run, Field, Scenario,
+    SweepRun, Verdict,
+};
 
 /// Events each scenario's soak must dispatch (full run).
 pub const SOAK_EVENTS: u64 = 1_000_000;
@@ -39,38 +39,14 @@ pub const SOAK_EVENTS: u64 = 1_000_000;
 /// Events per scenario for the CI smoke variant.
 pub const SMOKE_EVENTS: u64 = 60_000;
 
-/// Per-run event backstop inside the soak loop; a quick-machine run takes
-/// a few thousand events, so hitting this means the run diverged.
-const RUN_EVENT_BUDGET: u64 = 20_000_000;
-
-/// Watchdog window: if this many events pass without a single read
-/// completing, the run is declared livelocked.
-const STALL_WINDOW: u64 = 200_000;
-
-/// One named overload scenario with the backpressure layer enabled.
-pub struct SoakScenario {
-    /// Stable scenario name (report key).
-    pub name: &'static str,
-    /// The full experiment configuration, bounds and admission included.
-    pub cfg: ExperimentConfig,
-}
-
 /// The fixed scenario set. All scenarios use a small machine (4 nodes,
 /// 200 blocks) so individual runs are cheap and the soak loop can cycle
 /// hundreds of seeds; overload comes from the workload shape, not scale.
 /// A malformed spec is reported as a typed [`FaultSpecError`] rather
 /// than a panic, so the CLI can surface it through its exit code.
-pub fn scenarios() -> Result<Vec<SoakScenario>, FaultSpecError> {
+pub fn scenarios() -> Result<Vec<Scenario>, FaultSpecError> {
     let small = |pattern, sync, compute_us: u64| {
-        let mut cfg = ExperimentConfig::paper_default(pattern, sync);
-        cfg.procs = 4;
-        cfg.disks = 4;
-        cfg.workload = WorkloadParams {
-            procs: 4,
-            file_blocks: 200,
-            total_reads: 200,
-            ..WorkloadParams::paper()
-        };
+        let mut cfg = machine(pattern, sync, true);
         cfg.compute_mean = SimDuration::from_micros(compute_us);
         cfg.prefetch = rt_core::PrefetchConfig::paper();
         cfg.queue_depth = Some(2);
@@ -106,7 +82,10 @@ pub fn scenarios() -> Result<Vec<SoakScenario>, FaultSpecError> {
         SyncStyle::BlocksPerProc(10),
         1_000,
     );
-    straggler_storm.faults.plan = parse_fault_specs("straggler:2:x8@50ms-400ms,flaky:1:p0.2")?;
+    inject(
+        &mut straggler_storm,
+        "straggler:2:x8@50ms-400ms,flaky:1:p0.2",
+    )?;
     // node-churn: overload plus node crashes — one node bounces
     // (crash + rejoin) and another dies for good mid-run, exercising
     // lease/pin/waiter reclamation, barrier shrink, daemon failover,
@@ -117,189 +96,95 @@ pub fn scenarios() -> Result<Vec<SoakScenario>, FaultSpecError> {
         SyncStyle::BlocksPerProc(10),
         1_000,
     );
-    let (_, churn_crashes) = parse_all_fault_specs("crash:1@40ms:rejoin@160ms,crash:3@90ms")?;
-    for c in churn_crashes.entries() {
-        node_churn.faults.crashes.push(*c);
-    }
-    Ok(vec![
-        SoakScenario {
-            name: "io-burst",
-            cfg: io_burst,
-        },
-        SoakScenario {
-            name: "hot-disk",
-            cfg: hot_disk,
-        },
-        SoakScenario {
-            name: "burst-barrier",
-            cfg: burst_barrier,
-        },
-        SoakScenario {
-            name: "straggler-storm",
-            cfg: straggler_storm,
-        },
-        SoakScenario {
-            name: "node-churn",
-            cfg: node_churn,
-        },
-    ])
+    inject(&mut node_churn, "crash:1@40ms:rejoin@160ms,crash:3@90ms")?;
+    Ok([
+        ("io-burst", io_burst),
+        ("hot-disk", hot_disk),
+        ("burst-barrier", burst_barrier),
+        ("straggler-storm", straggler_storm),
+        ("node-churn", node_churn),
+    ]
+    .map(|(name, cfg)| Scenario {
+        name: name.to_string(),
+        cfg,
+    })
+    .into())
 }
 
-/// Outcome of soaking one scenario.
-#[derive(Clone, Debug)]
-pub struct SoakOutcome {
-    /// Events dispatched across all seeds.
-    pub events: u64,
-    /// Complete runs executed.
-    pub runs: u64,
-    /// First invariant violation, if any (`None` means the soak is clean).
-    pub violation: Option<String>,
-    /// Flight-recorder dump of the violating run (`None` when clean).
-    pub flight: Option<FlightDump>,
-}
-
-/// Soak one scenario: run it over derived seeds until `target_events`
-/// have been dispatched, checking every invariant after every event.
-/// Stops at the first violation. Every cycle runs with the flight
-/// recorder on (a short event tail plus dense gauges); when a cycle
-/// violates an invariant, its recording comes back as
-/// [`SoakOutcome::flight`] for a postmortem dump.
-pub fn soak_scenario(cfg: &ExperimentConfig, target_events: u64) -> SoakOutcome {
-    let mut outcome = SoakOutcome {
-        events: 0,
-        runs: 0,
-        violation: None,
-        flight: None,
-    };
-    while outcome.events < target_events {
+/// Soak one scenario: [`verify_run`] it over derived seeds until
+/// `target_events` have been dispatched, stopping at the first failing
+/// verdict. Returns every cycle's verdict in order; only the last can
+/// carry a violation.
+pub fn soak_scenario(cfg: &ExperimentConfig, target_events: u64) -> Vec<Verdict> {
+    let mut verdicts: Vec<Verdict> = Vec::new();
+    let mut events = 0;
+    while events < target_events {
         let mut cfg = cfg.clone();
         // Different seed each cycle -> different workload and timing; the
         // derivation is fixed so the whole soak is reproducible.
-        cfg.seed = cfg
-            .seed
-            .wrapping_add(outcome.runs.wrapping_mul(0x9e37_79b9));
-        let mut world = World::new(cfg);
-        world.enable_obs(ObsConfig::flight_recorder());
-        let mut sched = Scheduler::new();
-        world.bootstrap(&mut sched);
-        // Watchdog state: the soak must keep retiring reads. Events
-        // without forward progress beyond STALL_WINDOW mean livelock.
-        let mut last_reads = 0u64;
-        let mut last_progress_event = 0u64;
-        let end = run_observed(&mut world, &mut sched, RUN_EVENT_BUDGET, |w, events| {
-            w.check_soak_invariants()?;
-            let reads = w.reads_done();
-            if reads > last_reads {
-                last_reads = reads;
-                last_progress_event = events;
-            } else if events - last_progress_event > STALL_WINDOW {
-                return Err(format!(
-                    "livelock: {} events since the last completed read",
-                    events - last_progress_event
-                ));
-            }
-            Ok(())
-        });
-        match end {
-            ObservedEnd::Finished(run) => {
-                if run.budget_exhausted {
-                    outcome.violation =
-                        Some(format!("run exceeded the {RUN_EVENT_BUDGET}-event budget"));
-                    outcome.flight = FlightDump::take(&mut world);
-                    return outcome;
-                }
-                if !world.complete() {
-                    outcome.violation = Some("run drained without finishing".into());
-                    outcome.flight = FlightDump::take(&mut world);
-                    return outcome;
-                }
-                outcome.events += run.events;
-                outcome.runs += 1;
-            }
-            ObservedEnd::Violation {
-                message,
-                at,
-                events,
-            } => {
-                outcome.events += events;
-                outcome.violation = Some(format!(
-                    "seed cycle {}: {message} (at {:?}, event {events})",
-                    outcome.runs, at
-                ));
-                outcome.flight = FlightDump::take(&mut world);
-                return outcome;
-            }
+        let cycle = verdicts.len() as u64;
+        cfg.seed = cfg.seed.wrapping_add(cycle.wrapping_mul(0x9e37_79b9));
+        let v = verify_run(&cfg);
+        events += v.events;
+        let failed = v.violation.is_some();
+        verdicts.push(v);
+        if failed {
+            break;
         }
     }
-    outcome
+    verdicts
 }
+
+/// Fields every per-run object in the report carries, in order.
+pub const FIELDS: &[Field] = &[
+    ("total_ms", |m| m.total_time.as_millis_f64()),
+    ("read_ms", RunMetrics::mean_read_ms),
+    ("hit_ratio", |m| m.hit_ratio),
+    ("prefetches_shed", |m| m.overload.prefetches_shed as f64),
+    ("prefetches_throttled", |m| {
+        m.overload.prefetches_throttled as f64
+    }),
+    ("demand_parked", |m| m.overload.demand_parked as f64),
+    ("demand_behind_prefetch", |m| {
+        m.overload.demand_behind_prefetch as f64
+    }),
+    ("cache_high_water_hits", |m| {
+        m.overload.cache_high_water_hits as f64
+    }),
+    ("max_queue_depth", |m| m.overload.max_queue_depth as f64),
+];
 
 /// Run every scenario: the base/prefetch pair, then the soak.
-pub fn run_sweep(smoke: bool) -> Result<Vec<(&'static str, RunPair, SoakOutcome)>, FaultSpecError> {
+pub fn run_sweep(smoke: bool) -> Result<SweepRun, FaultSpecError> {
     let target = if smoke { SMOKE_EVENTS } else { SOAK_EVENTS };
-    Ok(scenarios()?
-        .into_iter()
-        .map(|s| {
-            let pair = run_pair(&s.cfg);
-            let soak = soak_scenario(&s.cfg, target);
-            (s.name, pair, soak)
-        })
-        .collect())
+    let mut run = SweepRun::new(smoke);
+    for s in scenarios()? {
+        let pair = run_pair(&s.cfg);
+        let soak = soak_scenario(&s.cfg, target);
+        let events: u64 = soak.iter().map(|v| v.events).sum();
+        let last = soak.last().expect("a soak runs at least once");
+        run.note(
+            || format!("{} (seed cycle {})", s.name, soak.len() - 1),
+            last,
+        );
+        let failed = last.violation.is_some();
+        let runs = soak.len() - usize::from(failed);
+        run.push(vec![
+            ("name", Json::Str(s.name)),
+            ("base", run_obj(FIELDS, &pair.base, None)),
+            ("prefetch", run_obj(FIELDS, &pair.prefetch, None)),
+            (
+                "soak",
+                num_obj(&[
+                    ("events", events as f64),
+                    ("runs", runs as f64),
+                    ("violations", u64::from(failed) as f64),
+                ]),
+            ),
+        ]);
+    }
+    Ok(run)
 }
-
-fn run_json(m: &RunMetrics) -> Json {
-    let o = &m.overload;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("hit_ratio", m.hit_ratio),
-        ("prefetches_shed", o.prefetches_shed as f64),
-        ("prefetches_throttled", o.prefetches_throttled as f64),
-        ("demand_parked", o.demand_parked as f64),
-        ("demand_behind_prefetch", o.demand_behind_prefetch as f64),
-        ("cache_high_water_hits", o.cache_high_water_hits as f64),
-        ("max_queue_depth", o.max_queue_depth as f64),
-    ])
-}
-
-/// Build the report document from a sweep's results.
-pub fn report(results: &[(&'static str, RunPair, SoakOutcome)], smoke: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        smoke,
-        results
-            .iter()
-            .map(|(name, pair, soak)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str((*name).to_string())),
-                    ("base".into(), run_json(&pair.base)),
-                    ("prefetch".into(), run_json(&pair.prefetch)),
-                    (
-                        "soak".into(),
-                        num_obj(&[
-                            ("events", soak.events as f64),
-                            ("runs", soak.runs as f64),
-                            ("violations", u64::from(soak.violation.is_some()) as f64),
-                        ]),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 9] = [
-    "total_ms",
-    "read_ms",
-    "hit_ratio",
-    "prefetches_shed",
-    "prefetches_throttled",
-    "demand_parked",
-    "demand_behind_prefetch",
-    "cache_high_water_hits",
-    "max_queue_depth",
-];
 
 /// Check that `doc` is a structurally valid overload report: correct
 /// schema, a non-empty scenario array, every run object carrying all
@@ -308,25 +193,10 @@ const RUN_FIELDS: [&str; 9] = [
 /// property the admission controller exists to preserve. Every failure
 /// is reported, newline-joined, not just the first.
 pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
     let smoke = doc.get("smoke").and_then(Json::as_bool).unwrap_or(false);
-    for (i, s) in c.array(doc, "scenarios").iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
-        for half in ["base", "prefetch"] {
-            match s.get(half) {
-                Some(run) => c.nums(run, &RUN_FIELDS, &format!("scenario {name}/{half}")),
-                None => c.fail(format!("scenario {name}: missing {half} run")),
-            }
-        }
-        let total = |half: &str| {
-            s.get(half)
-                .and_then(|r| r.get("total_ms"))
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN)
-        };
+    let floor = if smoke { SMOKE_EVENTS } else { SOAK_EVENTS };
+    let c = check_report(doc, &["base", "prefetch"], FIELDS, |c, name, s| {
+        let total = |half: &str| value(s, half, "total_ms").unwrap_or(f64::NAN);
         let (base_ms, pf_ms) = (total("base"), total("prefetch"));
         // NaN (a missing or non-numeric field) must fail too, so compare
         // via matches! rather than `pf <= base`.
@@ -339,30 +209,16 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                  ({pf_ms} ms vs {base_ms} ms)"
             ));
         }
-        let Some(soak) = s.get("soak") else {
-            c.fail(format!("scenario {name}: missing soak"));
-            continue;
-        };
-        if c.num(soak, "violations", &format!("scenario {name}: soak"))
-            .is_some_and(|v| v != 0.0)
-        {
-            c.fail(format!("scenario {name}: soak reported violations"));
-        }
-        let floor = if smoke { SMOKE_EVENTS } else { SOAK_EVENTS } as f64;
-        if let Some(events) = c.num(soak, "events", &format!("scenario {name}: soak")) {
-            if events < floor {
-                c.fail(format!(
-                    "scenario {name}: soak dispatched {events} events, below the {floor} floor"
-                ));
-            }
-        }
-    }
+        check_verified(c, name, s, "soak", floor);
+    });
     c.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::report_scenarios;
+    use crate::sweep::tests::{assert_each_field_required, edited, set, smoke_report};
 
     #[test]
     fn scenario_set_shape() {
@@ -384,31 +240,40 @@ mod tests {
     fn short_soak_is_clean_and_counts_events() {
         let cfg = &scenarios().unwrap()[0].cfg;
         let out = soak_scenario(cfg, 10_000);
-        assert!(out.violation.is_none(), "{:?}", out.violation);
-        assert!(out.events >= 10_000);
-        assert!(out.runs > 0);
+        assert!(
+            out.iter().all(|v| v.violation.is_none()),
+            "{:?}",
+            out.last().map(|v| &v.violation)
+        );
+        assert!(out.iter().map(|v| v.events).sum::<u64>() >= 10_000);
+        assert!(!out.is_empty());
     }
 
     #[test]
     fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
+        let doc = smoke_report("soak");
         // The scenarios actually drive the overload machinery.
+        let results = report_scenarios(&doc);
         let hot = results
             .iter()
-            .find(|(n, _, _)| *n == "hot-disk")
+            .find(|s| s.get("name").and_then(Json::as_str) == Some("hot-disk"))
             .expect("hot-disk scenario present");
-        let o = &hot.1.prefetch.overload;
+        let pressure: f64 = ["prefetches_shed", "prefetches_throttled", "demand_parked"]
+            .iter()
+            .map(|key| value(hot, "prefetch", key).unwrap())
+            .sum();
         assert!(
-            o.prefetches_shed + o.prefetches_throttled + o.demand_parked > 0,
-            "hot-disk scenario never hit backpressure: {o:?}"
+            pressure > 0.0,
+            "hot-disk scenario never hit backpressure: {hot:?}"
         );
-        for (name, _, soak) in &results {
-            assert!(soak.violation.is_none(), "{name}: {:?}", soak.violation);
+        for s in results {
+            assert_eq!(value(s, "soak", "violations"), Some(0.0), "{s:?}");
         }
+    }
+
+    #[test]
+    fn validation_names_a_dropped_field() {
+        assert_each_field_required("soak", &["base", "prefetch"], FIELDS);
     }
 
     #[test]
@@ -417,17 +282,8 @@ mod tests {
         let doc = Json::parse(r#"{"schema":1,"smoke":true,"scenarios":[]}"#).unwrap();
         assert!(validate_report(&doc).unwrap_err().contains("empty"));
         // A prefetch half slower than base must be rejected.
-        let doc = Json::parse(
-            r#"{"schema":1,"smoke":true,"scenarios":[{"name":"x",
-                "base":{"total_ms":100,"read_ms":1,"hit_ratio":0,"prefetches_shed":0,
-                  "prefetches_throttled":0,"demand_parked":0,"demand_behind_prefetch":0,
-                  "cache_high_water_hits":0,"max_queue_depth":0},
-                "prefetch":{"total_ms":200,"read_ms":1,"hit_ratio":0,"prefetches_shed":0,
-                  "prefetches_throttled":0,"demand_parked":0,"demand_behind_prefetch":0,
-                  "cache_high_water_hits":0,"max_queue_depth":0},
-                "soak":{"events":60000,"runs":1,"violations":0}}]}"#,
-        )
-        .unwrap();
-        assert!(validate_report(&doc).unwrap_err().contains("slower"));
+        let doc = smoke_report("soak");
+        let broken = edited(&doc, "io-burst", "prefetch", |f| set(f, "total_ms", 1e9));
+        assert!(validate_report(&broken).unwrap_err().contains("slower"));
     }
 }

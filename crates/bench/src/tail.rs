@@ -29,16 +29,16 @@
 //! always fails. The `--smoke` variant shrinks the machine for CI.
 
 use rt_core::experiment::run_experiment;
-use rt_core::faults::{parse_all_fault_specs, FaultSpecError};
+use rt_core::faults::FaultSpecError;
 use rt_core::{ExperimentConfig, RunMetrics};
-use rt_patterns::{SyncStyle, WorkloadParams};
+use rt_patterns::SyncStyle;
 use rt_sim::SimDuration;
 
-use crate::crashes::{verify_half, CrashVerdict, PATTERNS};
-use crate::json::{num_obj, sweep_report, Check, Json};
-
-/// Report format version.
-pub const SCHEMA: u64 = 1;
+use crate::crashes::PATTERNS;
+use crate::json::Json;
+use crate::sweep::{
+    check_report, check_verdict, inject, machine, run_obj, Field, Scenario, SweepRun,
+};
 
 /// Demand-read timeout shared by every policy (milliseconds).
 const TIMEOUT_MS: u64 = 150;
@@ -99,41 +99,18 @@ fn apply_policy(cfg: &mut ExperimentConfig, policy: &str) {
     }
 }
 
-/// One named tail scenario.
-pub struct TailScenario {
-    /// Stable scenario name (report key), `<pattern>-<mode>-<policy>`.
-    pub name: String,
-    /// The full experiment configuration, faults and policy included.
-    pub cfg: ExperimentConfig,
-}
-
 /// The fixed scenario grid: six patterns x three fault modes x three
 /// policies. `quick` shrinks the machine (4 nodes, 200 blocks) and the
 /// fault windows for smoke tests.
-pub fn scenarios(quick: bool) -> Result<Vec<TailScenario>, FaultSpecError> {
+pub fn scenarios(quick: bool) -> Result<Vec<Scenario>, FaultSpecError> {
     let mut out = Vec::with_capacity(PATTERNS.len() * FAULT_MODES.len() * POLICIES.len());
     for (pat_name, pattern) in PATTERNS {
         for mode in FAULT_MODES {
             for policy in POLICIES {
-                let mut cfg =
-                    ExperimentConfig::paper_default(pattern, SyncStyle::BlocksPerProc(10));
-                if quick {
-                    cfg.procs = 4;
-                    cfg.disks = 4;
-                    cfg.workload = WorkloadParams {
-                        procs: 4,
-                        file_blocks: 200,
-                        total_reads: 200,
-                        ..WorkloadParams::paper()
-                    };
-                }
-                let (plan, crashes) = parse_all_fault_specs(fault_spec(mode, quick))?;
-                cfg.faults.plan = plan;
-                for c in crashes.entries() {
-                    cfg.faults.crashes.push(*c);
-                }
+                let mut cfg = machine(pattern, SyncStyle::BlocksPerProc(10), quick);
+                inject(&mut cfg, fault_spec(mode, quick))?;
                 apply_policy(&mut cfg, policy);
-                out.push(TailScenario {
+                out.push(Scenario {
                     name: format!("{pat_name}-{mode}-{policy}"),
                     cfg,
                 });
@@ -143,101 +120,45 @@ pub fn scenarios(quick: bool) -> Result<Vec<TailScenario>, FaultSpecError> {
     Ok(out)
 }
 
-/// One scenario's full result: the measured run plus its verification
-/// verdict (per-event soak invariants — which reject any duplicate
-/// delivery the moment it happens — a livelock watchdog, and terminal
-/// leak checks, reusing the crash sweep's verifier).
-pub struct TailResult {
-    /// Scenario name (report key).
-    pub name: String,
-    /// The measured run.
-    pub metrics: RunMetrics,
-    /// Verification verdict.
-    pub verdict: CrashVerdict,
-}
-
-/// Run every scenario and verify it.
-pub fn run_sweep(quick: bool) -> Result<Vec<TailResult>, FaultSpecError> {
-    Ok(scenarios(quick)?
-        .into_iter()
-        .map(|s| TailResult {
-            metrics: run_experiment(&s.cfg),
-            verdict: verify_half(&s.cfg),
-            name: s.name,
-        })
-        .collect())
-}
-
-fn run_json(m: &RunMetrics, v: &CrashVerdict) -> Json {
-    let t = &m.tail;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("read_p99_ms", m.read_quantile_ms(0.99)),
-        ("hedged_p99_ms", m.hedged_read_quantile_ms(0.99)),
-        ("timeouts", m.faults.timeouts as f64),
-        ("retries", m.faults.retries as f64),
-        ("disk_ops", m.disk_ops as f64),
-        ("hedges_launched", t.hedges_launched as f64),
-        ("hedge_wins", t.hedge_wins as f64),
-        ("hedge_wasted", t.hedge_wasted as f64),
-        ("hedge_cancels", t.hedge_cancels as f64),
-        ("retries_denied", t.retries_denied as f64),
-        ("budget_spent", t.budget_spent as f64),
-        ("breaker_opens", t.breaker_opens as f64),
-        ("probe_successes", t.probe_successes as f64),
-        ("duplicate_deliveries", t.duplicate_deliveries as f64),
-        ("lost_reads", m.crash.lost_reads as f64),
-        ("completed_reads", v.completed as f64),
-        ("abandoned_reads", v.abandoned as f64),
-        ("expected_reads", v.expected as f64),
-        ("violations", u64::from(v.violation.is_some()) as f64),
-    ])
-}
-
-/// Build the report document from a sweep's results. The report is
-/// regenerated wholesale on each run (scenarios are deterministic, so
-/// entries only change when the code does).
-pub fn report(results: &[TailResult], quick: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        quick,
-        results
-            .iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(r.name.clone())),
-                    ("run".into(), run_json(&r.metrics, &r.verdict)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 21] = [
-    "total_ms",
-    "read_ms",
-    "read_p99_ms",
-    "hedged_p99_ms",
-    "timeouts",
-    "retries",
-    "disk_ops",
-    "hedges_launched",
-    "hedge_wins",
-    "hedge_wasted",
-    "hedge_cancels",
-    "retries_denied",
-    "budget_spent",
-    "breaker_opens",
-    "probe_successes",
-    "duplicate_deliveries",
-    "lost_reads",
-    "completed_reads",
-    "abandoned_reads",
-    "expected_reads",
-    "violations",
+/// Fields every per-run object in the report carries, in order, before
+/// the verdict keys.
+pub const FIELDS: &[Field] = &[
+    ("total_ms", |m| m.total_time.as_millis_f64()),
+    ("read_ms", RunMetrics::mean_read_ms),
+    ("read_p99_ms", |m| m.read_quantile_ms(0.99)),
+    ("hedged_p99_ms", |m| m.hedged_read_quantile_ms(0.99)),
+    ("timeouts", |m| m.faults.timeouts as f64),
+    ("retries", |m| m.faults.retries as f64),
+    ("disk_ops", |m| m.disk_ops as f64),
+    ("hedges_launched", |m| m.tail.hedges_launched as f64),
+    ("hedge_wins", |m| m.tail.hedge_wins as f64),
+    ("hedge_wasted", |m| m.tail.hedge_wasted as f64),
+    ("hedge_cancels", |m| m.tail.hedge_cancels as f64),
+    ("retries_denied", |m| m.tail.retries_denied as f64),
+    ("budget_spent", |m| m.tail.budget_spent as f64),
+    ("breaker_opens", |m| m.tail.breaker_opens as f64),
+    ("probe_successes", |m| m.tail.probe_successes as f64),
+    ("duplicate_deliveries", |m| {
+        m.tail.duplicate_deliveries as f64
+    }),
+    ("lost_reads", |m| m.crash.lost_reads as f64),
 ];
+
+/// Run every scenario and verify it: per-event soak invariants (which
+/// reject any duplicate delivery the moment it happens), a livelock
+/// watchdog, and the terminal leak checks.
+pub fn run_sweep(quick: bool) -> Result<SweepRun, FaultSpecError> {
+    let mut run = SweepRun::new(quick);
+    for s in scenarios(quick)? {
+        let metrics = run_experiment(&s.cfg);
+        let verdict = run.verify(|| s.name.clone(), &s.cfg);
+        run.push(vec![
+            ("name", Json::Str(s.name)),
+            ("run", run_obj(FIELDS, &metrics, Some(&verdict))),
+        ]);
+    }
+    Ok(run)
+}
 
 /// Check that `doc` is a structurally valid tail report: correct
 /// schema, the full pattern x mode x policy grid present, every run
@@ -249,48 +170,21 @@ const RUN_FIELDS: [&str; 21] = [
 /// read time no worse than timeout-only's under the straggler. Every
 /// failure is reported, newline-joined, not just the first.
 pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
-    let scenarios = c.array(doc, "scenarios");
-    let mut seen: Vec<String> = Vec::new();
-    let mut p99: Vec<(String, f64)> = Vec::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
-        let name = name.to_string();
-        seen.push(name.clone());
+    let mut seen: Vec<&str> = Vec::new();
+    let mut p99: Vec<(&str, f64)> = Vec::new();
+    let mut c = check_report(doc, &["run"], FIELDS, |c, name, s| {
+        seen.push(name);
         let Some(run) = s.get("run") else {
-            c.fail(format!("scenario {name}: missing run"));
-            continue;
+            return;
         };
-        let ctx = format!("scenario {name}");
-        c.nums(run, &RUN_FIELDS, &ctx);
+        let ctx = format!("scenario {name}/run");
+        check_verdict(c, run, &ctx);
         let num = |field: &str| run.get(field).and_then(Json::as_f64);
         if let Some(p) = num("read_p99_ms") {
-            p99.push((name.clone(), p));
-        }
-        if num("violations").is_some_and(|v| v != 0.0) {
-            c.fail(format!("{ctx}: verification reported violations"));
+            p99.push((name, p));
         }
         if num("duplicate_deliveries").is_some_and(|v| v != 0.0) {
             c.fail(format!("{ctx}: a waiter was delivered a block twice"));
-        }
-        if let (Some(completed), Some(lost), Some(abandoned), Some(expected)) = (
-            num("completed_reads"),
-            num("lost_reads"),
-            num("abandoned_reads"),
-            num("expected_reads"),
-        ) {
-            if completed + lost + abandoned != expected {
-                c.fail(format!(
-                    "{ctx}: {completed} completed + {lost} lost + {abandoned} \
-                     abandoned != {expected} expected"
-                ));
-            }
-            if expected <= 0.0 {
-                c.fail(format!("{ctx}: empty workload"));
-            }
         }
         // The timeout-only policy must be untouched by the machinery:
         // inert layers stay inert.
@@ -328,12 +222,12 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         {
             c.fail(format!("{ctx}: outage run never opened a breaker"));
         }
-    }
+    });
     for (pat, _) in PATTERNS {
         for mode in FAULT_MODES {
             for policy in POLICIES {
                 let want = format!("{pat}-{mode}-{policy}");
-                if !seen.contains(&want) {
+                if !seen.contains(&want.as_str()) {
                     c.fail(format!("missing scenario {want}"));
                 }
             }
@@ -341,7 +235,7 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     }
     // Tail improvement: under the pure straggler, hedging must not make
     // the p99 read time worse than waiting for the timeout.
-    let p99_of = |name: &str| p99.iter().find(|(n, _)| n == name).map(|&(_, p)| p);
+    let p99_of = |name: &str| p99.iter().find(|(n, _)| *n == name).map(|&(_, p)| p);
     for (pat, _) in PATTERNS {
         let base = p99_of(&format!("{pat}-straggler-timeout"));
         let hedged = p99_of(&format!("{pat}-straggler-hedge"));
@@ -360,6 +254,8 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::{assert_each_field_required, edited, set, smoke_report};
+    use crate::sweep::{report_scenarios, value};
 
     #[test]
     fn scenario_set_shape() {
@@ -390,20 +286,24 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        // Reparse what we would write to disk.
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
         // The sweep exercised the machinery it claims to measure:
         // hedges won somewhere, and some loser was cancelled or
         // absorbed without ever double-delivering.
-        let wins: u64 = results.iter().map(|r| r.metrics.tail.hedge_wins).sum();
-        assert!(wins > 0, "no hedge ever won");
-        for r in &results {
-            assert_eq!(r.metrics.tail.duplicate_deliveries, 0, "{}", r.name);
+        let doc = smoke_report("tail");
+        let results = report_scenarios(&doc);
+        let wins: f64 = results
+            .iter()
+            .map(|s| value(s, "run", "hedge_wins").unwrap())
+            .sum();
+        assert!(wins > 0.0, "no hedge ever won");
+        for s in results {
+            assert_eq!(value(s, "run", "duplicate_deliveries"), Some(0.0), "{s:?}");
         }
+    }
+
+    #[test]
+    fn validation_names_a_dropped_field() {
+        assert_each_field_required("tail", &["run"], FIELDS);
     }
 
     #[test]
@@ -413,52 +313,18 @@ mod tests {
         let msg = validate_report(&doc).unwrap_err();
         assert!(msg.contains("missing scenario"), "{msg}");
 
-        // A duplicate delivery anywhere must fail validation.
-        let run = r#"{"total_ms":1,"read_ms":1,"read_p99_ms":1,"hedged_p99_ms":0,
-            "timeouts":0,"retries":0,"disk_ops":10,"hedges_launched":1,"hedge_wins":1,
-            "hedge_wasted":0,"hedge_cancels":0,"retries_denied":0,"budget_spent":1,
-            "breaker_opens":0,"probe_successes":0,"duplicate_deliveries":1,
-            "lost_reads":0,"completed_reads":200,"abandoned_reads":0,
-            "expected_reads":200,"violations":0}"#;
-        let doc = Json::parse(&format!(
-            r#"{{"schema":1,"smoke":true,"scenarios":[{{"name":"gw-straggler-hedge","run":{run}}}]}}"#
-        ))
-        .unwrap();
-        let msg = validate_report(&doc).unwrap_err();
-        assert!(msg.contains("delivered a block twice"), "{msg}");
-
-        // A hedged straggler p99 above the timeout-only p99 must fail.
-        let mk = |name: &str, p99: f64| {
-            format!(
-                r#"{{"name":"{name}","run":{{"total_ms":1,"read_ms":1,"read_p99_ms":{p99},
-                "hedged_p99_ms":0,"timeouts":0,"retries":0,"disk_ops":10,
-                "hedges_launched":1,"hedge_wins":1,"hedge_wasted":0,"hedge_cancels":0,
-                "retries_denied":0,"budget_spent":0,"breaker_opens":0,"probe_successes":0,
-                "duplicate_deliveries":0,"lost_reads":0,"completed_reads":200,
-                "abandoned_reads":0,"expected_reads":200,"violations":0}}}}"#
-            )
+        let doc = smoke_report("tail");
+        let broken = |name: &str, key: &str, v: f64| {
+            validate_report(&edited(&doc, name, "run", |f| set(f, key, v))).unwrap_err()
         };
-        let doc = Json::parse(&format!(
-            r#"{{"schema":1,"smoke":true,"scenarios":[{},{}]}}"#,
-            mk("gw-straggler-timeout", 100.0),
-            mk("gw-straggler-hedge", 250.0),
-        ))
-        .unwrap();
-        let msg = validate_report(&doc).unwrap_err();
+        // A duplicate delivery anywhere must fail validation.
+        let msg = broken("gw-straggler-hedge", "duplicate_deliveries", 1.0);
+        assert!(msg.contains("delivered a block twice"), "{msg}");
+        // A hedged straggler p99 above the timeout-only p99 must fail.
+        let msg = broken("gw-straggler-hedge", "read_p99_ms", 1e9);
         assert!(msg.contains("worse than"), "{msg}");
-
         // Budget overspend must fail.
-        let over = r#"{"total_ms":1,"read_ms":1,"read_p99_ms":1,"hedged_p99_ms":0,
-            "timeouts":0,"retries":0,"disk_ops":4,"hedges_launched":1,"hedge_wins":1,
-            "hedge_wasted":0,"hedge_cancels":0,"retries_denied":0,"budget_spent":999,
-            "breaker_opens":1,"probe_successes":0,"duplicate_deliveries":0,
-            "lost_reads":0,"completed_reads":200,"abandoned_reads":0,
-            "expected_reads":200,"violations":0}"#;
-        let doc = Json::parse(&format!(
-            r#"{{"schema":1,"smoke":true,"scenarios":[{{"name":"gw-outage-full","run":{over}}}]}}"#
-        ))
-        .unwrap();
-        let msg = validate_report(&doc).unwrap_err();
+        let msg = broken("gw-outage-full", "budget_spent", 1e9);
         assert!(msg.contains("bucket bound"), "{msg}");
     }
 }

@@ -7,11 +7,12 @@
 //! rapid-transit sweep-compute       the §V-C computation sweep (Fig. 12)
 //! rapid-transit trace <pattern>     record a run and analyze its trace
 //! rapid-transit trace-check <file>  validate an exported Perfetto trace
-//! rapid-transit faults              run the fault-injection sweep
-//! rapid-transit crashes             run the node-crash sweep
-//! rapid-transit soak                run the overload/chaos soak
-//! rapid-transit integrity           run the data-integrity sweep
+//! rapid-transit faults|crashes|soak|integrity|tail [--out FILE] [--smoke] [--check]
+//!                                   run (or check) a robustness sweep
 //! ```
+//!
+//! Every subcommand declares its flags; an unknown or repeated flag
+//! exits 2 before anything runs.
 //!
 //! Run options:
 //! `--pattern lfp|lrp|lw|gfp|grp|gw` (default gw),
@@ -25,8 +26,10 @@
 
 use std::process::ExitCode;
 
+use rapid_transit::bench::json::Json;
+use rapid_transit::bench::sweep::{self, Sweep};
 use rapid_transit::cli::{
-    build_config, flag_value, has_flag, parse_pattern, sweep_flags, SweepFlags,
+    config_from, parse_pattern, scan, sweep_flags, Flag, SweepFlags, RUN_FLAGS,
 };
 use rapid_transit::core::experiment::{
     paper_grid, run_experiment, run_experiment_observed, run_experiment_traced, run_pair,
@@ -53,16 +56,14 @@ fn main() -> ExitCode {
         "sweep-compute" => cmd_sweep_compute(rest),
         "trace" => cmd_trace(rest),
         "trace-check" => cmd_trace_check(rest),
-        "faults" => cmd_faults(rest),
-        "crashes" => cmd_crashes(rest),
-        "soak" => cmd_soak(rest),
-        "integrity" => cmd_integrity(rest),
-        "tail" => cmd_tail(rest),
         "help" | "--help" | "-h" => {
             println!("{}", USAGE);
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => match sweep::find(other) {
+            Some(sweep) => cmd_sweep(sweep, rest),
+            None => Err(format!("unknown command {other:?}")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -85,20 +86,22 @@ commands:
   trace <pat>    record one run's access trace and analyze it off-line
   trace-check F  validate an exported Perfetto trace file (well-formed,
                  spans per track in order, attribution sums exact)
-  faults         run the fault-injection sweep, write BENCH_faults.json
-                 (--out FILE, --smoke, --check)
-  crashes        run the node-crash sweep (crash/rejoin/cascade over all
-                 six patterns, with per-event invariants and terminal
-                 leak checks), write BENCH_crash.json
-                 (--out FILE, --smoke, --check)
-  soak           run the overload/chaos soak, write BENCH_overload.json
-                 (--out FILE, --smoke, --check)
-  integrity      run the data-integrity sweep (corruption, verify,
-                 read-repair, scrub), write BENCH_integrity.json
-                 (--out FILE, --smoke, --check)
-  tail           run the tail-tolerance sweep (stragglers/outages/crashes
-                 under timeout-only vs hedged vs hedged+budget+breaker),
-                 write BENCH_tail.json (--out FILE, --smoke, --check)
+
+robustness sweeps (each run verified: per-event invariants, a livelock
+watchdog, terminal leak and read-accounting checks; a violation exits 2
+and writes <out>.flight.json):
+  faults         fault injection, BENCH_faults.json
+  crashes        node crash/rejoin/cascade over all six patterns,
+                 BENCH_crash.json
+  soak           overload/chaos soak, BENCH_overload.json
+  integrity      corruption, verify, read-repair, scrub,
+                 BENCH_integrity.json
+  tail           stragglers/outages/crashes under timeout-only vs hedged
+                 vs hedged+budget+breaker, BENCH_tail.json
+sweep options:
+  --out FILE     report to write (or check); default the BENCH file
+  --smoke        run the shrunken CI-sized sweep
+  --check        validate the report instead of running the sweep
 
 run options:
   --pattern P    lfp|lrp|lw|gfp|grp|gw          (default gw)
@@ -306,18 +309,13 @@ fn overload_rows(m: &RunMetrics) -> Vec<(&'static str, String)> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let cfg = build_config(args)?;
-    let trace_out = flag_value(args, "--trace-out")?.map(str::to_string);
-    let sample_every = match flag_value(args, "--sample-every")? {
-        Some(v) => {
-            let ms: u64 = v.parse().map_err(|_| "bad --sample-every (milliseconds)")?;
-            if trace_out.is_none() {
-                return Err("--sample-every requires --trace-out".into());
-            }
-            Some(ms)
-        }
-        None => None,
-    };
+    let args = scan(args, RUN_FLAGS, &[])?;
+    let cfg = config_from(&args)?;
+    let trace_out = args.value("--trace-out");
+    let sample_every: Option<u64> = args.parse("--sample-every")?;
+    if sample_every.is_some() && trace_out.is_none() {
+        return Err("--sample-every requires --trace-out".into());
+    }
     println!("running {} ...", cfg.label());
     let show_faults = cfg.faults.is_active();
     let show_crashes = !cfg.faults.crashes.is_empty();
@@ -361,7 +359,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if show_overload {
         rows.extend(overload_rows(&m));
     }
-    if has_flag(args, "--csv") {
+    if args.has("--csv") {
         println!("metric,value");
         for (k, v) in rows {
             println!("{k},{v}");
@@ -377,7 +375,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_grid(args: &[String]) -> Result<(), String> {
-    let csv = has_flag(args, "--csv");
+    const FLAGS: &[Flag] = &[Flag::Bare("--csv")];
+    let csv = scan(args, FLAGS, &[])?.has("--csv");
     let grid = paper_grid();
     let pairs = run_pairs_parallel(&grid, default_threads());
     if csv {
@@ -411,7 +410,7 @@ fn cmd_grid(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_lead(args: &[String]) -> Result<(), String> {
-    let pattern = match args.first() {
+    let pattern = match scan(args, &[], &["PATTERN"])?.positional(0) {
         Some(p) => parse_pattern(p)?,
         None => return Err("lead requires a pattern (lfp|gfp|lw|gw)".into()),
     };
@@ -431,7 +430,8 @@ fn cmd_lead(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep_compute(_args: &[String]) -> Result<(), String> {
+fn cmd_sweep_compute(args: &[String]) -> Result<(), String> {
+    scan(args, &[], &[])?;
     println!("compute_ms,dtotal_pct,dread_pct,read_pf_ms,action_ms");
     for ms in [0u64, 5, 10, 20, 30, 45, 60, 80, 100, 150, 200] {
         let mut cfg = ExperimentConfig::paper_default(
@@ -452,10 +452,9 @@ fn cmd_sweep_compute(_args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace_check(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::json::Json;
     use rapid_transit::bench::trace_check;
 
-    let Some(path) = args.first() else {
+    let Some(path) = scan(args, &[], &["FILE"])?.positional(0) else {
         return Err("trace-check requires a file".into());
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -469,174 +468,41 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_faults(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::faults;
-    use rapid_transit::bench::json::Json;
-    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_faults.json")?;
+/// Run one robustness sweep (or, with `--check`, validate its report).
+/// A verified run that fails leaves its flight dump and exits 2; a report
+/// that fails its own validator is never written.
+fn cmd_sweep(sweep: &Sweep, args: &[String]) -> Result<(), String> {
+    let SweepFlags { out, smoke, check } = sweep_flags(args, sweep.report)?;
+    let name = sweep.name;
 
     if check {
         let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        faults::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid faults report, {n} scenarios");
+        (sweep.validate)(&doc).map_err(|e| format!("{out}: {e}"))?;
+        let n = sweep::report_scenarios(&doc).len();
+        println!("{out}: valid {name} report, {n} scenarios");
         return Ok(());
     }
 
-    println!(
-        "running fault sweep ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = faults::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<16} {:>10} {:>10} {:>8} {:>8} {:>9} {:>10}",
-        "scenario", "base ms", "pf ms", "errors", "retries", "timeouts", "degr ms"
-    );
-    for (name, pair) in &results {
-        let f = &pair.prefetch.faults;
-        println!(
-            "{:<16} {:>10.0} {:>10.0} {:>8} {:>8} {:>9} {:>10.0}",
-            name,
-            pair.base.total_time.as_millis_f64(),
-            pair.prefetch.total_time.as_millis_f64(),
-            f.io_errors,
-            f.retries,
-            f.timeouts,
-            f.degraded_time.as_millis_f64(),
-        );
+    let size = if smoke { "smoke" } else { "full" };
+    println!("running {name} sweep ({size} ...)");
+    let run = (sweep.run)(smoke).map_err(|e| e.to_string())?;
+    let doc = run.report();
+    print!("{}", sweep::summary_table(sweep, &doc));
+    if let Some((label, verdict)) = &run.failure {
+        write_flight_dump(&out, verdict.flight.as_ref());
+        let message = verdict.violation.as_deref().unwrap_or_default();
+        return Err(format!("{name} invariant violation — {label}: {message}"));
     }
-    let doc = faults::report(&results, smoke);
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_crashes(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::crashes;
-    use rapid_transit::bench::json::Json;
-    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_crash.json")?;
-
-    if check {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        crashes::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid crash report, {n} scenarios");
-        return Ok(());
-    }
-
-    println!(
-        "running crash sweep ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = crashes::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<14} {:>10} {:>10} {:>7} {:>7} {:>5} {:>9} {:>8} {:>8}",
-        "scenario",
-        "base ms",
-        "pf ms",
-        "crashes",
-        "rejoins",
-        "lost",
-        "reclaimed",
-        "orphaned",
-        "failover"
-    );
-    let mut violation = None;
-    for r in &results {
-        let c = &r.pair.prefetch.crash;
-        println!(
-            "{:<14} {:>10.0} {:>10.0} {:>7} {:>7} {:>5} {:>9} {:>8} {:>8}",
-            r.name,
-            r.pair.base.total_time.as_millis_f64(),
-            r.pair.prefetch.total_time.as_millis_f64(),
-            c.crashes,
-            c.rejoins,
-            c.lost_reads,
-            c.reclaimed_locks + c.reclaimed_pins + c.reclaimed_waiters,
-            c.orphaned_ios,
-            c.redistributed_prefetches,
-        );
-        if let Some((half, v)) = r.violation() {
-            violation = Some(format!("{} ({half}): {v}", r.name));
-            write_flight_dump(&out, r.flight());
-        }
-    }
-    if let Some(v) = violation {
-        return Err(format!("crash invariant violation — {v}"));
-    }
-    let doc = crashes::report(&results, smoke);
-    crashes::validate_report(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_tail(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::json::Json;
-    use rapid_transit::bench::tail;
-    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_tail.json")?;
-
-    if check {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        tail::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid tail report, {n} scenarios");
-        return Ok(());
-    }
-
-    println!(
-        "running tail sweep ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = tail::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<26} {:>9} {:>9} {:>7} {:>5} {:>7} {:>7} {:>6} {:>6}",
-        "scenario", "total ms", "p99 ms", "hedges", "wins", "cancels", "denied", "opens", "dups"
-    );
-    let mut violation = None;
-    for r in &results {
-        let t = &r.metrics.tail;
-        println!(
-            "{:<26} {:>9.0} {:>9.2} {:>7} {:>5} {:>7} {:>7} {:>6} {:>6}",
-            r.name,
-            r.metrics.total_time.as_millis_f64(),
-            r.metrics.read_quantile_ms(0.99),
-            t.hedges_launched,
-            t.hedge_wins,
-            t.hedge_cancels,
-            t.retries_denied,
-            t.breaker_opens,
-            t.duplicate_deliveries,
-        );
-        if let Some(v) = &r.verdict.violation {
-            violation = Some(format!("{}: {v}", r.name));
-            write_flight_dump(&out, r.verdict.flight.as_ref());
-        }
-    }
-    if let Some(v) = violation {
-        return Err(format!("tail invariant violation — {v}"));
-    }
-    let doc = tail::report(&results, smoke);
-    tail::validate_report(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
+    (sweep.validate)(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
     std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
 }
 
 /// Write a flight-recorder dump next to the report (`<out>.flight.json`)
-/// and print its human-readable tail to stderr, so a failing soak or
-/// integrity run leaves a postmortem behind.
+/// and print its human-readable tail to stderr, so a failing verified
+/// run leaves a postmortem behind.
 fn write_flight_dump(out: &str, flight: Option<&rapid_transit::bench::FlightDump>) {
     let Some(dump) = flight else {
         return;
@@ -650,118 +516,8 @@ fn write_flight_dump(out: &str, flight: Option<&rapid_transit::bench::FlightDump
     eprint!("{}", dump.tail);
 }
 
-fn cmd_soak(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::json::Json;
-    use rapid_transit::bench::soak;
-    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_overload.json")?;
-
-    if check {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        soak::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid overload report, {n} scenarios");
-        return Ok(());
-    }
-
-    println!(
-        "running overload soak ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = soak::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<16} {:>10} {:>10} {:>6} {:>9} {:>7} {:>10} {:>6}",
-        "scenario", "base ms", "pf ms", "shed", "throttled", "parked", "soak ev", "runs"
-    );
-    let mut violation = None;
-    for (name, pair, soak) in &results {
-        let o = &pair.prefetch.overload;
-        println!(
-            "{:<16} {:>10.0} {:>10.0} {:>6} {:>9} {:>7} {:>10} {:>6}",
-            name,
-            pair.base.total_time.as_millis_f64(),
-            pair.prefetch.total_time.as_millis_f64(),
-            o.prefetches_shed,
-            o.prefetches_throttled,
-            o.demand_parked,
-            soak.events,
-            soak.runs,
-        );
-        if let Some(v) = &soak.violation {
-            violation = Some(format!("{name}: {v}"));
-            write_flight_dump(&out, soak.flight.as_ref());
-        }
-    }
-    if let Some(v) = violation {
-        return Err(format!("soak invariant violation — {v}"));
-    }
-    let doc = soak::report(&results, smoke);
-    soak::validate_report(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_integrity(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::integrity;
-    use rapid_transit::bench::json::Json;
-    let SweepFlags { out, smoke, check } = sweep_flags(args, "BENCH_integrity.json")?;
-
-    if check {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        integrity::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid integrity report, {n} scenarios");
-        return Ok(());
-    }
-
-    println!(
-        "running integrity sweep ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = integrity::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<18} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-        "scenario", "total ms", "corrupt", "caught", "repairs", "scrubbed", "poisoned", "quarant"
-    );
-    let mut violation = None;
-    for (s, outcome) in &results {
-        let ig = &outcome.metrics.integrity;
-        println!(
-            "{:<18} {:>10.0} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-            s.name,
-            outcome.metrics.total_time.as_millis_f64(),
-            ig.corruptions,
-            ig.detections + ig.scrub_detections,
-            ig.repairs,
-            ig.scrubbed,
-            ig.poisoned_blocks,
-            ig.quarantines,
-        );
-        if let Some(v) = &outcome.violation {
-            violation = Some(format!("{}: {v}", s.name));
-            write_flight_dump(&out, outcome.flight.as_ref());
-        }
-    }
-    if let Some(v) = violation {
-        return Err(format!("integrity invariant violation — {v}"));
-    }
-    let doc = integrity::report(&results, smoke);
-    integrity::validate_report(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let pattern = match args.first() {
+    let pattern = match scan(args, &[], &["PATTERN"])?.positional(0) {
         Some(p) => parse_pattern(p)?,
         None => return Err("trace requires a pattern".into()),
     };

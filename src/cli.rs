@@ -5,39 +5,177 @@ use rt_core::faults::parse_all_fault_specs;
 use rt_core::{AdmissionConfig, ExperimentConfig, PolicyKind, PrefetchConfig};
 use rt_patterns::{AccessPattern, SyncStyle};
 use rt_sim::SimDuration;
+use std::str::FromStr;
 
-/// Return the value following `--name`, if present.
-pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return match args.get(i + 1) {
-                Some(v) => Ok(Some(v.as_str())),
-                None => Err(format!("{name} requires a value")),
-            };
-        }
-    }
-    Ok(None)
+/// One declared flag of a subcommand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// A bare flag, given at most once.
+    Bare(&'static str),
+    /// A flag taking one value (named by the placeholder), given at most
+    /// once.
+    Value(&'static str, &'static str),
+    /// A flag taking one value, given any number of times.
+    Repeated(&'static str, &'static str),
 }
 
-/// Return every value following an occurrence of `--name` (the flag is
-/// repeatable).
-pub fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, String> {
-    let mut values = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            match args.get(i + 1) {
-                Some(v) => values.push(v.as_str()),
-                None => return Err(format!("{name} requires a value")),
+impl Flag {
+    /// The flag itself, `--name`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Flag::Bare(name) | Flag::Value(name, _) | Flag::Repeated(name, _) => name,
+        }
+    }
+}
+
+/// A subcommand's arguments, scanned strictly against its declared flags
+/// and positionals.
+#[derive(Clone, Debug)]
+pub struct Args<'a> {
+    flags: &'static [Flag],
+    given: Vec<(&'static str, &'a str)>,
+    positionals: Vec<&'a str>,
+}
+
+/// Scan `args` against the declared `flags` and up to
+/// `positionals.len()` positional arguments (named for the error
+/// message). An unknown flag, a surplus positional, a value-taking flag
+/// without a value, or a second use of a non-repeatable flag is an error
+/// naming the argument and listing what is accepted, so a typo fails
+/// before anything runs.
+pub fn scan<'a>(
+    args: &'a [String],
+    flags: &'static [Flag],
+    positionals: &[&str],
+) -> Result<Args<'a>, String> {
+    let accepted = || {
+        let names = positionals.iter().map(|p| p.to_string());
+        let flags = flags.iter().map(|f| match *f {
+            Flag::Bare(name) => name.to_string(),
+            Flag::Value(name, v) => format!("{name} {v}"),
+            Flag::Repeated(name, v) => format!("{name} {v}..."),
+        });
+        let all: Vec<_> = names.chain(flags).collect();
+        if all.is_empty() {
+            "accepted: none".to_string()
+        } else {
+            format!("accepted: {}", all.join(", "))
+        }
+    };
+    let mut out = Args {
+        flags,
+        given: Vec::new(),
+        positionals: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let Some(&flag) = flags.iter().find(|f| f.name() == arg) else {
+            if arg.starts_with("--") || out.positionals.len() == positionals.len() {
+                return Err(format!("unknown argument {arg:?} ({})", accepted()));
             }
+            out.positionals.push(arg);
+            continue;
+        };
+        if !matches!(flag, Flag::Repeated(..)) && out.has(flag.name()) {
+            return Err(format!("{arg} given more than once ({})", accepted()));
         }
+        let value = match flag {
+            Flag::Bare(_) => "",
+            _ => it
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{arg} requires a value"))?,
+        };
+        out.given.push((flag.name(), value));
     }
-    Ok(values)
+    Ok(out)
 }
 
-/// True when the bare flag `--name` is present.
-pub fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+impl<'a> Args<'a> {
+    fn declared(&self, name: &str) {
+        debug_assert!(
+            self.flags.iter().any(|f| f.name() == name),
+            "{name} is not a declared flag"
+        );
+    }
+
+    /// The value of `--name`, if given.
+    pub fn value(&self, name: &str) -> Option<&'a str> {
+        self.values(name).next()
+    }
+
+    /// Every value of the repeatable `--name`, in order.
+    pub fn values<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.declared(name);
+        self.given
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .map(|&(_, v)| v)
+    }
+
+    /// True when the bare flag `--name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.values(name).next().is_some()
+    }
+
+    /// The value of `--name` parsed as a `T`, if given.
+    pub fn parse<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("bad {name}")))
+            .transpose()
+    }
+
+    /// [`Args::parse`] for a value that must be positive.
+    pub fn positive<T: FromStr + Default + PartialEq>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, String> {
+        match self.parse(name)? {
+            Some(v) if v == T::default() => Err(format!("{name} must be positive")),
+            v => Ok(v),
+        }
+    }
+
+    /// The `i`th positional argument, if given.
+    pub fn positional(&self, i: usize) -> Option<&'a str> {
+        self.positionals.get(i).copied()
+    }
 }
+
+/// The flags of `run`: the experiment configuration plus output and
+/// telemetry options.
+pub const RUN_FLAGS: &[Flag] = &[
+    Flag::Value("--pattern", "P"),
+    Flag::Value("--sync", "S"),
+    Flag::Value("--compute", "MS"),
+    Flag::Value("--procs", "N"),
+    Flag::Value("--disks", "N"),
+    Flag::Value("--blocks", "N"),
+    Flag::Bare("--prefetch"),
+    Flag::Value("--lead", "N"),
+    Flag::Value("--policy", "K"),
+    Flag::Value("--seed", "N"),
+    Flag::Bare("--csv"),
+    Flag::Value("--trace-out", "FILE"),
+    Flag::Value("--sample-every", "MS"),
+    Flag::Repeated("--faults", "SPECS"),
+    Flag::Value("--replicas", "N"),
+    Flag::Value("--io-timeout", "MS"),
+    Flag::Value("--hedge", "MS[:xM]"),
+    Flag::Value("--retry-budget", "N[:R]"),
+    Flag::Value("--breaker", "T[:HOLD[:HALF]]"),
+    Flag::Bare("--verify"),
+    Flag::Bare("--scrub"),
+    Flag::Value("--queue-depth", "N"),
+    Flag::Value("--prefetch-credits", "N"),
+];
+
+/// The flags of a sweep subcommand.
+pub const SWEEP_FLAGS: &[Flag] = &[
+    Flag::Value("--out", "FILE"),
+    Flag::Bare("--smoke"),
+    Flag::Bare("--check"),
+];
 
 /// The flags of a sweep subcommand (`faults`, `crashes`, `soak`,
 /// `integrity`, `tail`).
@@ -51,36 +189,15 @@ pub struct SweepFlags {
     pub check: bool,
 }
 
-/// Parse a sweep subcommand's arguments strictly: only `--out FILE`,
-/// `--smoke` and `--check` are accepted, each at most once, so a typo'd
+/// Parse a sweep subcommand's arguments against [`SWEEP_FLAGS`]: only
+/// `--out FILE`, `--smoke` and `--check`, each at most once, so a typo'd
 /// flag fails before the sweep runs or overwrites its report.
 pub fn sweep_flags(args: &[String], default_out: &str) -> Result<SweepFlags, String> {
-    const ACCEPTED: &str = "accepted: --out FILE, --smoke, --check";
-    let mut out = None;
-    let mut smoke = false;
-    let mut check = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let seen = match arg.as_str() {
-            "--out" => {
-                let file = it
-                    .next()
-                    .filter(|v| !v.starts_with("--"))
-                    .ok_or("--out requires a value")?;
-                out.replace(file.clone()).is_some()
-            }
-            "--smoke" => std::mem::replace(&mut smoke, true),
-            "--check" => std::mem::replace(&mut check, true),
-            other => return Err(format!("unknown argument {other:?} ({ACCEPTED})")),
-        };
-        if seen {
-            return Err(format!("{arg} given more than once ({ACCEPTED})"));
-        }
-    }
+    let a = scan(args, SWEEP_FLAGS, &[])?;
     Ok(SweepFlags {
-        out: out.unwrap_or_else(|| default_out.to_string()),
-        smoke,
-        check,
+        out: a.value("--out").unwrap_or(default_out).to_string(),
+        smoke: a.has("--smoke"),
+        check: a.has("--check"),
     })
 }
 
@@ -112,13 +229,18 @@ pub fn parse_sync(s: &str) -> Result<SyncStyle, String> {
     }
 }
 
-/// Build an [`ExperimentConfig`] from `run`-style command-line options.
+/// Build an [`ExperimentConfig`] from `run`'s command-line options.
 pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
-    let pattern = match flag_value(args, "--pattern")? {
+    config_from(&scan(args, RUN_FLAGS, &[])?)
+}
+
+/// Build an [`ExperimentConfig`] from scanned [`RUN_FLAGS`].
+pub fn config_from(args: &Args) -> Result<ExperimentConfig, String> {
+    let pattern = match args.value("--pattern") {
         Some(s) => parse_pattern(s)?,
         None => AccessPattern::GlobalWholeFile,
     };
-    let sync = match flag_value(args, "--sync")? {
+    let sync = match args.value("--sync") {
         Some(s) => parse_sync(s)?,
         None => SyncStyle::BlocksPerProc(10),
     };
@@ -127,27 +249,15 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     }
     let mut cfg = ExperimentConfig::paper_default(pattern, sync);
 
-    if let Some(v) = flag_value(args, "--procs")? {
-        let procs: u16 = v.parse().map_err(|_| "bad --procs")?;
-        if procs == 0 {
-            return Err("--procs must be positive".into());
-        }
+    if let Some(procs) = args.positive("--procs")? {
         cfg.procs = procs;
         cfg.disks = procs;
         cfg.workload.procs = procs;
     }
-    if let Some(v) = flag_value(args, "--disks")? {
-        let disks: u16 = v.parse().map_err(|_| "bad --disks")?;
-        if disks == 0 {
-            return Err("--disks must be positive".into());
-        }
+    if let Some(disks) = args.positive("--disks")? {
         cfg.disks = disks;
     }
-    if let Some(v) = flag_value(args, "--blocks")? {
-        let blocks: u32 = v.parse().map_err(|_| "bad --blocks")?;
-        if blocks == 0 {
-            return Err("--blocks must be positive".into());
-        }
+    if let Some(blocks) = args.positive("--blocks")? {
         cfg.workload.file_blocks = blocks;
         cfg.workload.total_reads = blocks;
     }
@@ -157,15 +267,14 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             cfg.workload.total_reads, cfg.procs
         ));
     }
-    if let Some(v) = flag_value(args, "--compute")? {
-        let ms: u64 = v.parse().map_err(|_| "bad --compute")?;
+    if let Some(ms) = args.parse("--compute")? {
         cfg.compute_mean = SimDuration::from_millis(ms);
     }
-    if let Some(v) = flag_value(args, "--seed")? {
-        cfg.seed = v.parse().map_err(|_| "bad --seed")?;
+    if let Some(seed) = args.parse("--seed")? {
+        cfg.seed = seed;
     }
-    if has_flag(args, "--prefetch") {
-        let policy = match flag_value(args, "--policy")? {
+    if args.has("--prefetch") {
+        let policy = match args.value("--policy") {
             None | Some("oracle") => PolicyKind::Oracle,
             Some("obl") => PolicyKind::Obl { depth: 3 },
             Some("learner") => PolicyKind::PortionLearner { confidence: 2 },
@@ -175,26 +284,18 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             PolicyKind::Oracle => PrefetchConfig::paper(),
             other => PrefetchConfig::online(other),
         };
-        if let Some(v) = flag_value(args, "--lead")? {
-            cfg.prefetch.min_lead = v.parse().map_err(|_| "bad --lead")?;
+        if let Some(lead) = args.parse("--lead")? {
+            cfg.prefetch.min_lead = lead;
         }
     }
 
     // Overload knobs: bound the per-device queues, and optionally enable
     // the prefetch admission controller with a credit pool. Both default
     // off, which reproduces the paper's unbounded behavior exactly.
-    if let Some(v) = flag_value(args, "--queue-depth")? {
-        let depth: u32 = v.parse().map_err(|_| "bad --queue-depth")?;
-        if depth == 0 {
-            return Err("--queue-depth must be positive".into());
-        }
+    if let Some(depth) = args.positive("--queue-depth")? {
         cfg.queue_depth = Some(depth);
     }
-    if let Some(v) = flag_value(args, "--prefetch-credits")? {
-        let credits: u32 = v.parse().map_err(|_| "bad --prefetch-credits")?;
-        if credits == 0 {
-            return Err("--prefetch-credits must be positive".into());
-        }
+    if let Some(credits) = args.positive("--prefetch-credits")? {
         cfg.admission = AdmissionConfig::on(credits);
     }
 
@@ -202,7 +303,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     // specs — device faults (straggler:7:x4, flaky:3:p0.2@1s-4s,
     // fail:5@2s) and node crashes (crash:3@5s:rejoin@12s). The flag is
     // repeatable.
-    for list in flag_values(args, "--faults")? {
+    for list in args.values("--faults") {
         let (plan, crashes) = parse_all_fault_specs(list).map_err(|e| e.to_string())?;
         for f in plan.entries() {
             cfg.faults.plan.push(*f);
@@ -211,14 +312,10 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             cfg.faults.crashes.push(*c);
         }
     }
-    if let Some(v) = flag_value(args, "--replicas")? {
-        cfg.faults.replicas = v.parse().map_err(|_| "bad --replicas")?;
+    if let Some(replicas) = args.parse("--replicas")? {
+        cfg.faults.replicas = replicas;
     }
-    if let Some(v) = flag_value(args, "--io-timeout")? {
-        let ms: u64 = v.parse().map_err(|_| "bad --io-timeout (milliseconds)")?;
-        if ms == 0 {
-            return Err("--io-timeout must be positive".into());
-        }
+    if let Some(ms) = args.positive("--io-timeout")? {
         cfg.faults.retry.timeout = Some(SimDuration::from_millis(ms));
     }
 
@@ -230,7 +327,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     // --breaker opens a per-device circuit on an error/timeout EWMA so
     // replica selection routes around the sick device until a half-open
     // probe succeeds.
-    if let Some(v) = flag_value(args, "--hedge")? {
+    if let Some(v) = args.value("--hedge") {
         let (ms, mult) = match v.split_once(':') {
             Some((ms, m)) => {
                 let m = m
@@ -246,7 +343,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             cfg.faults.hedge.multiplier = m.parse().map_err(|_| "bad --hedge multiplier")?;
         }
     }
-    if let Some(v) = flag_value(args, "--retry-budget")? {
+    if let Some(v) = args.value("--retry-budget") {
         let (cap, refill) = match v.split_once(':') {
             Some((c, r)) => (c, Some(r)),
             None => (v, None),
@@ -257,7 +354,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             cfg.faults.budget.refill = r.parse().map_err(|_| "bad --retry-budget refill")?;
         }
     }
-    if let Some(v) = flag_value(args, "--breaker")? {
+    if let Some(v) = args.value("--breaker") {
         cfg.faults.breaker.enabled = true;
         let mut parts = v.split(':');
         if let Some(t) = parts.next() {
@@ -283,10 +380,10 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     // corrupt window is scheduled (corruption can never bypass detection);
     // --verify pays the checksum cost even without corruption, and --scrub
     // lets the daemon spend otherwise-empty idle slots on scrub reads.
-    if has_flag(args, "--verify") {
+    if args.has("--verify") {
         cfg.integrity.verify = true;
     }
-    if has_flag(args, "--scrub") {
+    if args.has("--scrub") {
         cfg.integrity.scrub = true;
     }
     cfg.validate().map_err(|e| e.to_string())?;
@@ -527,11 +624,56 @@ mod tests {
 
     #[test]
     fn flag_helpers() {
-        let a = args(&["--x", "1", "--y"]);
-        assert_eq!(flag_value(&a, "--x").unwrap(), Some("1"));
-        assert_eq!(flag_value(&a, "--z").unwrap(), None);
-        assert!(has_flag(&a, "--y"));
-        assert!(!has_flag(&a, "--w"));
+        const FLAGS: &[Flag] = &[
+            Flag::Value("--x", "N"),
+            Flag::Bare("--y"),
+            Flag::Value("--z", "N"),
+            Flag::Bare("--w"),
+            Flag::Repeated("--r", "V"),
+        ];
+        let list = args(&["--x", "1", "--y", "--r", "a", "pos", "--r", "b"]);
+        let a = scan(&list, FLAGS, &["P"]).unwrap();
+        assert_eq!(a.value("--x"), Some("1"));
+        assert_eq!(a.value("--z"), None);
+        assert!(a.has("--y"));
+        assert!(!a.has("--w"));
+        assert_eq!(a.values("--r").collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(a.positional(0), Some("pos"));
+        assert_eq!(a.positional(1), None);
+
+        let err = |list: &[&str]| scan(&args(list), FLAGS, &["P"]).unwrap_err();
+        let e = err(&["one", "two"]);
+        assert!(e.contains("unknown argument \"two\""), "{e}");
+        assert!(
+            e.contains("accepted: P, --x N, --y, --z N, --w, --r V..."),
+            "{e}"
+        );
+        assert!(err(&["--x", "1", "--x", "2"]).contains("--x given more than once"));
+        assert!(err(&["--y", "--y"]).contains("--y given more than once"));
+        assert_eq!(err(&["--x"]), "--x requires a value");
+        let e = scan(&args(&["x"]), &[], &[]).unwrap_err();
+        assert!(e.contains("accepted: none"), "{e}");
+    }
+
+    #[test]
+    fn run_flags_reject_unknown_and_repeated() {
+        let err = |list: &[&str]| build_config(&args(list)).unwrap_err();
+        let e = err(&["--patern", "lfp", "--hegde", "5", "--blocks", "200"]);
+        assert!(e.contains("\"--patern\""), "{e}");
+        assert!(e.contains("--pattern P"), "{e}");
+        assert!(err(&["--prefetch", "--prefetch"]).contains("--prefetch given more than once"));
+        assert!(err(&["--pattern", "lfp", "--pattern", "gw"])
+            .contains("--pattern given more than once"));
+        assert!(err(&["gw"]).contains("unknown argument \"gw\""));
+        // --faults is repeatable; every value is kept.
+        let cfg = build_config(&args(&[
+            "--faults",
+            "straggler:1:x2",
+            "--faults",
+            "straggler:2:x2",
+        ]))
+        .unwrap();
+        assert_eq!(cfg.faults.plan.entries().len(), 2);
     }
 
     #[test]
