@@ -36,6 +36,9 @@ pub struct RunPerf {
     pub wall: std::time::Duration,
     /// Largest number of simultaneously pending events.
     pub peak_pending: usize,
+    /// Events whose FIFO lane could not take them in time order and went
+    /// to the event heap instead (see `rt_sim::Laned`).
+    pub lane_fallbacks: u64,
 }
 
 impl RunPerf {
@@ -111,6 +114,7 @@ fn run_shared_world(
                 events: stats.outcome.events,
                 wall: stats.wall,
                 peak_pending: stats.peak_pending,
+                lane_fallbacks: sched.lane_fallbacks(),
             }),
         )
     } else {

@@ -22,7 +22,9 @@ use rt_cache::{BufState, BufferId, BufferPool, Lookup, PoolConfig};
 use rt_disk::{BlockId, DiskId, FetchKind, ProcId};
 use rt_fs::{FileId, FileSystem, FsError, FsStarted};
 use rt_patterns::{Access, Cursor, Predictor, SyncStyle, Workload};
-use rt_sim::{EventId, Model, Rng, Sampled, Scheduler, SimDuration, SimLock, SimTime, Tally};
+use rt_sim::{
+    EventId, Laned, Model, Rng, Sampled, Scheduler, SimDuration, SimLock, SimTime, Tally,
+};
 
 use crate::admission::{AdmissionState, Deny, ParkedDemand};
 use crate::barrier::Barrier;
@@ -88,6 +90,27 @@ pub enum Ev {
     /// A crashed node restarts with a cold RU set. Never scheduled unless
     /// the crash plan schedules a rejoin.
     Rejoin(ProcId),
+}
+
+/// Event-queue routing. The paper's machine is built from FIFO resources
+/// with fixed costs, so every kind but the exponential compute delay (and
+/// the rare fault, crash and integrity events) is scheduled in
+/// nondecreasing time order and can skip the heap. An out-of-order event
+/// (a crash's `reclaim_tail`, a straggler disk, a remote copy) falls back
+/// to the heap without changing the dispatch order.
+impl Laned for Ev {
+    #[inline]
+    fn lane(&self) -> Option<usize> {
+        match self {
+            // Granted by the one FIFO cache lock: end times are monotone.
+            Ev::LookupDone(_) | Ev::MissIssue(_) | Ev::ActionEnd(_) => Some(0),
+            // Service start + the fixed access time.
+            Ev::DiskDone(_) => Some(1),
+            // Now + the constant copy cost.
+            Ev::ReadFinished(_) => Some(2),
+            _ => None,
+        }
+    }
 }
 
 /// User-process execution state.

@@ -5,7 +5,7 @@
 //! set and guarantees (a) the clock never runs backwards and (b) events at
 //! the same instant fire in schedule order.
 
-use crate::event::{EventId, EventQueue};
+use crate::event::{EventId, EventQueue, Laned};
 use crate::time::{SimDuration, SimTime};
 
 /// The clock plus the pending-event set, handed to the model on every event.
@@ -31,21 +31,6 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Schedule an event at an absolute time, which must not be in the past.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
-        debug_assert!(
-            time >= self.now,
-            "scheduled event in the past: {time:?} < now {:?}",
-            self.now
-        );
-        self.queue.schedule(time.max(self.now), event)
-    }
-
-    /// Schedule an event `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.queue.schedule(self.now + delay, event)
-    }
-
     /// Cancel a pending event. No-op if it already fired.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
@@ -60,6 +45,29 @@ impl<E> Scheduler<E> {
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
+
+    /// Events whose lane could not take them in time order and went to
+    /// the heap instead (see [`EventQueue::lane_fallbacks`]).
+    pub fn lane_fallbacks(&self) -> u64 {
+        self.queue.lane_fallbacks()
+    }
+}
+
+impl<E: Laned> Scheduler<E> {
+    /// Schedule an event at an absolute time, which must not be in the past.
+    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+        debug_assert!(
+            time >= self.now,
+            "scheduled event in the past: {time:?} < now {:?}",
+            self.now
+        );
+        self.queue.schedule(time.max(self.now), event)
+    }
+
+    /// Schedule an event `delay` from now.
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
+        self.queue.schedule(self.now + delay, event)
+    }
 }
 
 impl<E> Default for Scheduler<E> {
@@ -70,7 +78,8 @@ impl<E> Default for Scheduler<E> {
 
 /// A simulation model driven by the engine.
 pub trait Model {
-    /// The event payload type.
+    /// The event payload type. Scheduling it needs [`Laned`], which picks
+    /// the queue lane for each kind (or the heap, by default).
     type Event;
 
     /// Handle one event at `sched.now()`. The model may schedule further

@@ -3,8 +3,9 @@
 //! The substrate every other crate in this workspace builds on. The
 //! reproduction of Kotz & Ellis (1989) replaces the BBN Butterfly Plus with
 //! a discrete-event simulation; this crate provides the engine: a virtual
-//! clock ([`SimTime`]), a deterministic pending-event set, an event loop
-//! ([`run`]), analytic contended resources ([`FifoServer`], [`SimLock`]),
+//! clock ([`SimTime`]), a deterministic pending-event set whose FIFO lanes
+//! take time-ordered event kinds in O(1) ([`EventQueue`], [`Laned`]), an
+//! event loop ([`run`]), an analytic contended FIFO lock ([`SimLock`]),
 //! reproducible random streams ([`Rng`]), and run statistics.
 //!
 //! Determinism guarantees: with the same model and seeds, every run produces
@@ -45,8 +46,8 @@ pub mod time;
 pub use engine::{
     run, run_observed, run_with_stats, EngineStats, Model, ObservedEnd, RunOutcome, Scheduler,
 };
-pub use event::{EventId, EventQueue};
-pub use resource::{Admission, FifoServer, SimLock};
+pub use event::{EventId, EventQueue, Laned, LANES};
+pub use resource::SimLock;
 pub use rng::Rng;
 pub use stats::{Ratio, Sampled, Tally, TimeWeighted};
 pub use time::{SimDuration, SimTime};

@@ -1,141 +1,14 @@
 //! Contended, FIFO-ordered simulated resources.
 //!
-//! Two analytic single-server primitives cover every contended resource in
-//! the testbed:
-//!
-//! * [`FifoServer`] — a work-conserving FIFO server (a disk, a DMA channel):
-//!   callers submit work with a known service time and get back the start
-//!   and completion instants. Because service is FCFS and service times are
-//!   known at submission, the queue never needs to be materialized — the
-//!   server just tracks when it next falls idle. Queueing delay emerges
-//!   naturally, which is exactly the paper's "disk response time" contention
-//!   metric.
-//!
-//! * [`SimLock`] — a FIFO lock protecting a shared data structure (the block
-//!   cache index on the Butterfly's remote shared memory). A caller asks to
-//!   acquire at time *t* holding for *h*; it is granted the earliest instant
-//!   the lock is free, and the lock stays held until grant + *h*. Lock
-//!   waiting time is the NUMA/data-structure contention the paper reports
-//!   rising when all processors pound the I/O subsystem.
+//! [`SimLock`] — a FIFO lock protecting a shared data structure (the block
+//! cache index on the Butterfly's remote shared memory). A caller asks to
+//! acquire at time *t* holding for *h*; it is granted the earliest instant
+//! the lock is free, and the lock stays held until grant + *h*. Lock
+//! waiting time is the NUMA/data-structure contention the paper reports
+//! rising when all processors pound the I/O subsystem.
 
-use crate::stats::{Tally, TimeWeighted};
+use crate::stats::Tally;
 use crate::time::{SimDuration, SimTime};
-
-/// Completed admission of one request into a [`FifoServer`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Admission {
-    /// When service begins (>= submission time).
-    pub start: SimTime,
-    /// When service completes.
-    pub completion: SimTime,
-}
-
-impl Admission {
-    /// Time spent waiting in queue before service began.
-    pub fn queue_delay(&self, submitted: SimTime) -> SimDuration {
-        self.start.saturating_since(submitted)
-    }
-
-    /// Total time from submission to completion.
-    pub fn response(&self, submitted: SimTime) -> SimDuration {
-        self.completion.saturating_since(submitted)
-    }
-}
-
-/// A work-conserving FIFO single server.
-#[derive(Clone, Debug)]
-pub struct FifoServer {
-    free_at: SimTime,
-    busy: SimDuration,
-    ops: u64,
-    queue_delay: Tally,
-    response: Tally,
-    queue_len: TimeWeighted,
-}
-
-impl FifoServer {
-    /// An idle server at time zero.
-    pub fn new() -> Self {
-        FifoServer {
-            free_at: SimTime::ZERO,
-            busy: SimDuration::ZERO,
-            ops: 0,
-            queue_delay: Tally::new(),
-            response: Tally::new(),
-            queue_len: TimeWeighted::new(SimTime::ZERO, 0.0),
-        }
-    }
-
-    /// Submit one request at `now` requiring `service` time; returns when it
-    /// starts and completes. Requests submitted earlier are always served
-    /// first (FIFO).
-    pub fn submit(&mut self, now: SimTime, service: SimDuration) -> Admission {
-        let start = self.free_at.max(now);
-        let completion = start + service;
-        // Queue length accounting: the request waits in queue during
-        // [now, start). Approximate the queue-length curve with entry/exit
-        // impulses; exact shape is irrelevant, only the time-average is read.
-        if start > now {
-            self.queue_len.add(now, 1.0);
-            self.queue_len.add(start, -1.0);
-        }
-        self.free_at = completion;
-        self.busy += service;
-        self.ops += 1;
-        let adm = Admission { start, completion };
-        self.queue_delay.record(adm.queue_delay(now));
-        self.response.record(adm.response(now));
-        adm
-    }
-
-    /// When the server next falls idle (equals the last completion time).
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Number of requests served (or in service / queued).
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Aggregate busy time (sum of service times).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Fraction of `[0, now]` the server was busy. Values can exceed 1.0 if
-    /// queued work extends beyond `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let span = now.as_nanos();
-        if span == 0 {
-            0.0
-        } else {
-            self.busy.as_nanos() as f64 / span as f64
-        }
-    }
-
-    /// Distribution of time spent queued before service.
-    pub fn queue_delay(&self) -> &Tally {
-        &self.queue_delay
-    }
-
-    /// Distribution of submission-to-completion times (the paper's "disk
-    /// response time").
-    pub fn response(&self) -> &Tally {
-        &self.response
-    }
-
-    /// Time-averaged queue length over `[0, now]`.
-    pub fn avg_queue_len(&self, now: SimTime) -> f64 {
-        self.queue_len.average(now)
-    }
-}
-
-impl Default for FifoServer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// A FIFO lock with known hold times, modelling a contended shared
 /// data structure in remote memory.
@@ -226,50 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_server_starts_immediately() {
-        let mut s = FifoServer::new();
-        let a = s.submit(at(10), ms(30));
-        assert_eq!(a.start, at(10));
-        assert_eq!(a.completion, at(40));
-        assert_eq!(a.queue_delay(at(10)), SimDuration::ZERO);
-        assert_eq!(a.response(at(10)), ms(30));
-    }
-
-    #[test]
-    fn busy_server_queues_fifo() {
-        let mut s = FifoServer::new();
-        let a = s.submit(at(0), ms(30));
-        let b = s.submit(at(5), ms(30));
-        let c = s.submit(at(6), ms(30));
-        assert_eq!(a.completion, at(30));
-        assert_eq!(b.start, at(30));
-        assert_eq!(b.completion, at(60));
-        assert_eq!(c.start, at(60));
-        assert_eq!(c.queue_delay(at(6)), ms(54));
-        assert_eq!(s.ops(), 3);
-        assert_eq!(s.busy_time(), ms(90));
-    }
-
-    #[test]
-    fn server_goes_idle_between_bursts() {
-        let mut s = FifoServer::new();
-        s.submit(at(0), ms(10));
-        let b = s.submit(at(50), ms(10));
-        assert_eq!(b.start, at(50));
-        assert!((s.utilization(at(100)) - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn server_response_stats_accumulate() {
-        let mut s = FifoServer::new();
-        s.submit(at(0), ms(30));
-        s.submit(at(0), ms(30));
-        assert_eq!(s.response().count(), 2);
-        assert!((s.response().mean_millis() - 45.0).abs() < 1e-9);
-        assert!((s.queue_delay().mean_millis() - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn lock_grants_in_order() {
         let mut l = SimLock::new();
         let g1 = l.acquire(at(0), ms(2));
@@ -329,14 +158,5 @@ mod tests {
         assert_eq!(l.free_at(), at(10));
         // A section that already ended is likewise left alone.
         assert!(!l.reclaim_tail(at(20), at(10), ms(5)));
-    }
-
-    #[test]
-    fn avg_queue_len_reflects_waiting() {
-        let mut s = FifoServer::new();
-        s.submit(at(0), ms(10));
-        s.submit(at(0), ms(10)); // waits 10ms in queue
-                                 // Over [0, 20]: one request queued for 10ms -> average 0.5.
-        assert!((s.avg_queue_len(at(20)) - 0.5).abs() < 1e-9);
     }
 }

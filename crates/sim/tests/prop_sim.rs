@@ -1,20 +1,37 @@
 //! Property tests for the simulation engine substrate: event ordering,
-//! server conservation laws, and PRNG sanity.
+//! lock grant order, and PRNG sanity.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use rt_sim::{EventQueue, FifoServer, Rng, SimDuration, SimLock, SimTime};
+use rt_sim::{EventQueue, Laned, Rng, SimDuration, SimLock, SimTime, LANES};
 
 /// One step of the event-queue model comparison.
 #[derive(Clone, Debug)]
 enum QueueOp {
-    /// Schedule an event at this time; the payload is its issue index.
-    Schedule(u64),
+    /// Schedule an event at this time into this lane (or the heap); the
+    /// payload is its issue index. Random times reach a lane out of order
+    /// and exercise the heap fallback.
+    Schedule(u64, Option<usize>),
+    /// Schedule an event this long after the latest time scheduled so
+    /// far, into this lane (or the heap): an in-order lane append.
+    ScheduleLater(u64, Option<usize>),
     /// Cancel the id issued at (this value modulo the issued count) —
     /// which may be live, already cancelled, or long since popped.
     Cancel(usize),
     /// Pop the earliest live event, if any.
     Pop,
+}
+
+/// A test payload: its issue index and the lane it names.
+#[derive(Clone, Copy, Debug)]
+struct Routed(usize, Option<usize>);
+
+impl Laned for Routed {
+    fn lane(&self) -> Option<usize> {
+        self.1
+    }
 }
 
 /// The seed queue, restated: every scheduled event is kept in issue order
@@ -67,6 +84,11 @@ impl TombstoneModel {
     }
 }
 
+/// A lane index, or `None` for the heap, drawn evenly.
+fn lane() -> impl Strategy<Value = Option<usize>> {
+    (0..=LANES).prop_map(|l| (l < LANES).then_some(l))
+}
+
 proptest! {
     /// The event queue is a stable priority queue: popping returns events
     /// in time order, and schedule order within equal times.
@@ -114,30 +136,6 @@ proptest! {
         prop_assert_eq!(popped, kept);
     }
 
-    /// FIFO server conservation: completions are ordered, no two service
-    /// intervals overlap, and busy time equals the sum of service times.
-    #[test]
-    fn fifo_server_conserves_work(
-        jobs in prop::collection::vec((0u64..10_000, 1u64..100), 1..100)
-    ) {
-        let mut server = FifoServer::new();
-        let mut jobs = jobs;
-        jobs.sort_by_key(|&(at, _)| at); // submissions arrive in time order
-        let mut last_completion = SimTime::ZERO;
-        let mut total_service = SimDuration::ZERO;
-        for &(at, service) in &jobs {
-            let adm = server.submit(SimTime::from_nanos(at), SimDuration::from_nanos(service));
-            prop_assert!(adm.start >= SimTime::from_nanos(at));
-            prop_assert!(adm.start >= last_completion);
-            prop_assert_eq!(adm.completion, adm.start + SimDuration::from_nanos(service));
-            last_completion = adm.completion;
-            total_service += SimDuration::from_nanos(service);
-        }
-        prop_assert_eq!(server.busy_time(), total_service);
-        prop_assert_eq!(server.ops(), jobs.len() as u64);
-        prop_assert_eq!(server.free_at(), last_completion);
-    }
-
     /// Lock grants never overlap and respect FIFO order.
     #[test]
     fn lock_grants_are_disjoint_and_fifo(
@@ -180,17 +178,20 @@ proptest! {
         prop_assert!(divergent);
     }
 
-    /// The slab-and-generation queue is observably identical to the seed
-    /// implementation (a sorted list with tombstones scanned on pop) under
-    /// arbitrary interleavings of schedule, cancel, and pop — including
-    /// cancelling ids that already popped (must report `false` and leave
-    /// the queue untouched) and cancelling stale ids whose slot has since
-    /// been recycled for a newer event.
+    /// The slab-and-generation queue with its FIFO lanes is observably
+    /// identical to the seed implementation (a sorted list with tombstones
+    /// scanned on pop) under arbitrary interleavings of schedule, cancel,
+    /// and pop — whichever lane each event names, in order or not —
+    /// including cancelling ids that already popped (must report `false`
+    /// and leave the queue untouched) and cancelling stale ids whose slot
+    /// has since been recycled for a newer event. The fallback counter
+    /// counts exactly the laned events earlier than their lane's tail.
     #[test]
     fn event_queue_matches_tombstone_model(
         ops in prop::collection::vec(
             prop_oneof![
-                (0u64..50).prop_map(QueueOp::Schedule),
+                (0u64..50, lane()).prop_map(|(t, l)| QueueOp::Schedule(t, l)),
+                (0u64..4, lane()).prop_map(|(g, l)| QueueOp::ScheduleLater(g, l)),
                 (0usize..256).prop_map(QueueOp::Cancel),
                 Just(QueueOp::Pop),
             ],
@@ -200,11 +201,28 @@ proptest! {
         let mut q = EventQueue::new();
         let mut model = TombstoneModel::default();
         let mut ids = Vec::new();
+        let mut latest = 0u64;
+        // Per lane, the (time, issue index) of each entry it still holds,
+        // live or cancelled; and the fallbacks due.
+        let mut lanes: [VecDeque<(u64, usize)>; LANES] = Default::default();
+        let mut fallbacks = 0u64;
         for op in &ops {
-            match *op {
-                QueueOp::Schedule(t) => {
+            let op = match *op {
+                QueueOp::ScheduleLater(gap, l) => QueueOp::Schedule(latest + gap, l),
+                ref op => op.clone(),
+            };
+            match op {
+                QueueOp::Schedule(t, l) => {
+                    latest = latest.max(t);
                     let payload = ids.len();
-                    ids.push(q.schedule(SimTime::from_nanos(t), payload));
+                    if let Some(l) = l {
+                        if lanes[l].back().is_none_or(|&(tail, _)| tail <= t) {
+                            lanes[l].push_back((t, payload));
+                        } else {
+                            fallbacks += 1;
+                        }
+                    }
+                    ids.push(q.schedule(SimTime::from_nanos(t), Routed(payload, l)));
                     model.schedule(t, payload);
                 }
                 QueueOp::Cancel(pick) => {
@@ -219,17 +237,27 @@ proptest! {
                     );
                 }
                 QueueOp::Pop => {
-                    let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+                    let got = q.pop().map(|(t, p)| (t.as_nanos(), p.0));
                     prop_assert_eq!(got, model.pop());
+                    // A pop drains every entry up to the one it returns
+                    // (all of them when it returns nothing).
+                    let drained = got.unwrap_or((u64::MAX, usize::MAX));
+                    for lane in &mut lanes {
+                        while lane.front().is_some_and(|&front| front <= drained) {
+                            lane.pop_front();
+                        }
+                    }
                 }
+                QueueOp::ScheduleLater(..) => unreachable!("rewritten above"),
             }
+            prop_assert_eq!(q.lane_fallbacks(), fallbacks);
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.len() == 0);
             prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), model.peek_time());
         }
         // Drain both to the end: the full pop orders must agree.
         loop {
-            let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+            let got = q.pop().map(|(t, p)| (t.as_nanos(), p.0));
             let want = model.pop();
             prop_assert_eq!(got, want);
             if want.is_none() {

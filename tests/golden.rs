@@ -102,3 +102,28 @@ fn slice_runs_dispatch_pinned_event_counts() {
         );
     }
 }
+
+/// The engine's FIFO lanes take the lock, disk and copy completions in
+/// O(1) only while each kind arrives in time order; an out-of-order event
+/// falls back to the heap, keeping the dispatch order but losing the
+/// speed. On the fault-free slice every laned kind is in order, so a
+/// fallback here means the event routing no longer matches the model.
+#[test]
+fn slice_runs_take_no_lane_fallback() {
+    let got = parallel_map(SLICE_EVENTS, default_threads(), |&(abbrev, prefetch, _)| {
+        let pattern = AccessPattern::from_abbrev(abbrev).unwrap();
+        let mut cfg = ExperimentConfig::paper_default(pattern, SyncStyle::BlocksPerProc(10));
+        cfg.workload.file_blocks = 16_000;
+        cfg.workload.total_reads = 16_000;
+        if prefetch {
+            cfg.prefetch = PrefetchConfig::paper();
+        }
+        run_experiment_instrumented(&cfg).1.lane_fallbacks
+    });
+    for (&(abbrev, prefetch, _), fallbacks) in SLICE_EVENTS.iter().zip(got) {
+        assert_eq!(
+            fallbacks, 0,
+            "{abbrev}/pf={prefetch}: laned events fell back to the heap"
+        );
+    }
+}
